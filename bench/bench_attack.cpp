@@ -176,20 +176,9 @@ double serial_fraction(double t1, double tn, int n) {
 
 // --- FlatForest SIMD kernel micro-bench ------------------------------------
 
-const char* kernel_name(ml::FlatForest::BatchKernel k) {
-  switch (k) {
-    case ml::FlatForest::BatchKernel::kScalar: return "scalar";
-    case ml::FlatForest::BatchKernel::kBlocked: return "blocked";
-    case ml::FlatForest::BatchKernel::kSse2: return "sse2";
-    case ml::FlatForest::BatchKernel::kAvx2: return "avx2";
-  }
-  return "unknown";
-}
-
 struct SimdKernelRow {
-  const char* kernel = "";
+  const char* kernel = "";  ///< dispatch level the row was timed at
   double double_ns_per_row = 0;
-  double float_ns_per_row = 0;
   bool outputs_identical = false;  ///< bitwise vs the scalar reference
 };
 
@@ -202,12 +191,12 @@ struct SimdKernelBench {
   double speedup = 0;  ///< scalar / dispatched level, double rows
 };
 
-/// Times predict_batch_kernel per kernel on one scoring-chunk-sized batch
-/// (min over reps), double and float row paths, and checks every kernel
-/// against the scalar reference bit for bit. The headline
-/// simd_kernel_speedup is scalar vs what simd::active() dispatches to.
+/// Times predict_batch at each dispatch level on one scoring-chunk-sized
+/// batch (min over reps) and checks every level against the scalar
+/// reference bit for bit. The headline simd_kernel_speedup is scalar vs
+/// what simd::active() dispatches to.
 SimdKernelBench bench_simd_kernels() {
-  using BK = ml::FlatForest::BatchKernel;
+  namespace simd = common::simd;
   SimdKernelBench bench;
   bench.batch = 1024;
   bench.num_features = 11;
@@ -233,9 +222,6 @@ SimdKernelBench bench_simd_kernels() {
   const int n = bench.batch;
   std::vector<double> drows(static_cast<std::size_t>(n) * 11);
   for (double& x : drows) x = u(rng);
-  const std::vector<float> frows(drows.begin(), drows.end());
-  std::vector<double> ref(static_cast<std::size_t>(n));
-  forest.predict_batch_kernel(BK::kScalar, drows.data(), n, 11, ref.data());
 
   // Min over many short windows rather than few long ones: interference
   // on shared machines arrives in bursts, and a sub-millisecond window
@@ -243,35 +229,32 @@ SimdKernelBench bench_simd_kernels() {
   // the estimate of the quiet-machine rate either way.
   constexpr int kReps = 25;
   constexpr int kIters = 4;
-  const auto time_kernel = [&](BK k, auto* rows_ptr) {
-    std::vector<double> out(static_cast<std::size_t>(n));
+  // set_level clamps to the CPU, so on a host without AVX2 the avx2 row
+  // times the scalar walk again.
+  const simd::Level active = simd::active();
+  std::vector<double> ref, out(static_cast<std::size_t>(n));
+  double scalar_ns = 0, active_ns = 0;
+  for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+    simd::set_level(level);
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {
       bench::WallTimer timer;
       for (int it = 0; it < kIters; ++it) {
-        forest.predict_batch_kernel(k, rows_ptr, n, 11, out.data());
+        forest.predict_batch(drows.data(), n, 11, out.data());
       }
       best = std::min(best, timer.elapsed_seconds());
     }
-    return std::pair(best / kIters / n * 1e9, std::move(out));
-  };
-
-  double scalar_ns = 0, active_ns = 0;
-  const BK active_kernel =
-      ml::FlatForest::kernel_for(common::simd::active());
-  for (const BK k : {BK::kScalar, BK::kBlocked, BK::kSse2, BK::kAvx2}) {
+    if (ref.empty()) ref = out;
     SimdKernelRow r;
-    r.kernel = kernel_name(k);
-    auto [dns, dout] = time_kernel(k, drows.data());
-    auto [fns, fout] = time_kernel(k, frows.data());
-    r.double_ns_per_row = dns;
-    r.float_ns_per_row = fns;
+    r.kernel = simd::to_string(level);
+    r.double_ns_per_row = best / kIters / n * 1e9;
     r.outputs_identical =
-        std::memcmp(ref.data(), dout.data(), ref.size() * sizeof(double)) == 0;
-    if (k == BK::kScalar) scalar_ns = dns;
-    if (k == active_kernel) active_ns = dns;
+        std::memcmp(ref.data(), out.data(), ref.size() * sizeof(double)) == 0;
+    if (level == simd::Level::kScalar) scalar_ns = r.double_ns_per_row;
+    if (level == active) active_ns = r.double_ns_per_row;
     bench.rows.push_back(r);
   }
+  simd::set_level(active);
   bench.speedup = active_ns > 0 ? scalar_ns / active_ns : 1.0;
   return bench;
 }
@@ -526,16 +509,15 @@ int main(int argc, char** argv) {
   }
   const double index_speedup = index_benches.front().speedup;
 
-  // FlatForest batch-kernel micro-bench: what the SIMD dispatch buys on
-  // one scoring-chunk-sized batch, per kernel and row type.
+  // FlatForest batch micro-bench: what the SIMD dispatch buys on one
+  // scoring-chunk-sized batch, per dispatch level.
   std::printf("\nflat-forest batch kernels (%d rows, dispatch level %s)\n",
               1024, common::simd::to_string(common::simd::active()));
-  std::printf("%8s %16s %16s %10s\n", "kernel", "double ns/row",
-              "float ns/row", "bitwise");
+  std::printf("%8s %16s %10s\n", "level", "double ns/row", "bitwise");
   const SimdKernelBench simd_bench = bench_simd_kernels();
   for (const SimdKernelRow& r : simd_bench.rows) {
-    std::printf("%8s %16.2f %16.2f %10s\n", r.kernel, r.double_ns_per_row,
-                r.float_ns_per_row, r.outputs_identical ? "yes" : "NO (BUG)");
+    std::printf("%8s %16.2f %10s\n", r.kernel, r.double_ns_per_row,
+                r.outputs_identical ? "yes" : "NO (BUG)");
   }
   std::printf("simd kernel speedup (scalar vs dispatched): %.2fx\n",
               simd_bench.speedup);
@@ -617,7 +599,6 @@ int main(int argc, char** argv) {
                                  .field("kernel", std::string(r.kernel))
                                  .field("double_ns_per_row",
                                         r.double_ns_per_row)
-                                 .field("float_ns_per_row", r.float_ns_per_row)
                                  .field("outputs_identical",
                                         r.outputs_identical)
                                  .str());

@@ -5,7 +5,7 @@
 #      test carries the "fast" label; this is the suite PRs must keep
 #      green),
 #   2. the SIMD differential suite, re-run with REPRO_SIMD pinned to
-#      scalar, sse2, avx2 and auto (kernel outputs must stay
+#      scalar, avx2 and auto (kernel outputs must stay
 #      bit-identical at every dispatch level),
 #   3. ASan + UBSan over the ingestion-facing tests,
 #   4. TSan over the parallel-path tests,

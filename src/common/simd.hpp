@@ -9,13 +9,13 @@
 // branch the scalar ternary selects) and the same accumulation order.
 // Vector width changes which lanes are computed together, never what
 // is computed, so AttackResult digests are bit-identical across
-// scalar / SSE2 / AVX2 and across thread counts. The differential
+// scalar / AVX2 and across thread counts. The differential
 // tests in tests/test_simd.cpp and scripts/check_simd.sh enforce this
 // by running the same inputs under every forced level.
 //
 // Dispatch resolution, in priority order:
 //   1. set_level(l) (tests, benches) — clamped to max_supported()
-//   2. the REPRO_SIMD environment variable: scalar | sse2 | avx2 | auto
+//   2. the REPRO_SIMD environment variable: scalar | avx2 | auto
 //   3. max_supported(): the strongest level both compiled in and
 //      reported by the CPU (cpuid via __builtin_cpu_supports)
 //
@@ -39,13 +39,12 @@ namespace repro::common::simd {
 /// numeric comparison means capability comparison.
 enum class Level : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 const char* to_string(Level level);
 
-/// Parses a REPRO_SIMD value. "scalar" / "sse2" / "avx2" map to their
+/// Parses a REPRO_SIMD value. "scalar" / "avx2" map to their
 /// levels; "auto" (and "") mean resolve-from-hardware and return
 /// nullopt; anything else also returns nullopt (callers fall back to
 /// auto rather than aborting a run over a typo).

@@ -165,6 +165,7 @@ bool AttackService::parse_target(const Request& req, ShardTarget* out,
       doc->get_i64("layer", suites_.begin()->first));
   out->fold = doc->get_i64("fold", 0);
   out->config_name = doc->get_string("config", "Imp-9");
+  out->threshold = doc->get_double("threshold", opt_.default_threshold);
 
   const auto suite_it = suites_.find(out->layer);
   if (suite_it == suites_.end()) {
@@ -201,10 +202,7 @@ Response AttackService::handle_score(const Request& req) {
   const std::string& config_name = target.config_name;
   const ChallengeSuite& suite = *target.suite;
   AttackConfig config = target.config;
-  auto doc = common::parse_json(req.body);
-  const double threshold =
-      doc.ok() ? doc->get_double("threshold", opt_.default_threshold)
-               : opt_.default_threshold;
+  const double threshold = target.threshold;
 
   // Admission under the budget ladder.
   bool degraded = false;

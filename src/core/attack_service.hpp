@@ -118,6 +118,7 @@ class AttackService {
     int layer = 0;
     std::int64_t fold = 0;
     std::string config_name;
+    double threshold = 0.5;  ///< /score only; Options::default_threshold
     AttackConfig config;
     const ChallengeSuite* suite = nullptr;
   };

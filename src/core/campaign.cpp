@@ -10,6 +10,7 @@
 #include "common/binio.hpp"
 #include "common/checkpoint.hpp"
 #include "common/fault.hpp"
+#include "common/http.hpp"
 #include "common/json_scan.hpp"
 #include "common/json_writer.hpp"
 #include "common/lockfile.hpp"
@@ -59,22 +60,15 @@ double wall_now_s() {
 
 double retry_backoff_ms(const CampaignOptions& options,
                         const ShardSpec& spec, int attempt) {
-  if (attempt < 1) attempt = 1;
-  double base = options.backoff_base_ms;
-  for (int i = 1; i < attempt && base < options.backoff_max_ms; ++i) {
-    base *= 2.0;
-  }
-  base = std::min(base, options.backoff_max_ms);
-  // Deterministic jitter into [0.5, 1.0): hash (seed, shard id,
-  // attempt) so concurrent failures spread out but every schedule is
-  // replayable. 53 bits -> double, same recipe as http::retry_backoff_ms.
-  const std::uint64_t stream = common::derive_seed(
-      options.backoff_jitter_seed, common::fnv1a64(spec.id()));
-  const std::uint64_t h =
-      common::derive_seed(stream, static_cast<std::uint64_t>(attempt));
-  const double u =
-      static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
-  return base * (0.5 + 0.5 * u);
+  // http's schedule with one jitter stream per (campaign seed, shard
+  // id), so concurrent failures spread out but every schedule is
+  // replayable.
+  common::http::RetryPolicy policy;
+  policy.backoff_base_ms = options.backoff_base_ms;
+  policy.backoff_max_ms = options.backoff_max_ms;
+  policy.jitter_seed = common::derive_seed(options.backoff_jitter_seed,
+                                           common::fnv1a64(spec.id()));
+  return common::http::retry_backoff_ms(policy, attempt);
 }
 
 common::SpawnOptions prepare_worker_spawn(const WorkerCommand& command,

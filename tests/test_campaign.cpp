@@ -485,6 +485,31 @@ TEST(CampaignBackoff, JitterIsDeterministicPerSeedShardAndAttempt) {
   }
 }
 
+TEST(CampaignBackoff, ScheduleIsPinnedToLiteralDelays) {
+  // Delays recorded from the schedule as first shipped; any change to
+  // the formula or its jitter stream shows up here. %.17g round-trips,
+  // so the comparison is exact.
+  struct Case {
+    std::uint64_t seed;
+    ShardSpec spec;
+    int attempt;
+    double delay_ms;
+  };
+  for (const Case& c : {Case{0, ShardSpec{4, 0}, 1, 78.881810147868237},
+                        Case{42, ShardSpec{8, 3}, 2, 144.83736910867714},
+                        Case{7, ShardSpec{6, 1}, 4, 550.20583882089193},
+                        Case{1, ShardSpec{8, 9}, 6, 652.02261344481849}}) {
+    CampaignOptions opt;
+    opt.backoff_base_ms = 100;
+    opt.backoff_max_ms = 800;
+    opt.backoff_jitter_seed = c.seed;
+    EXPECT_EQ(repro::core::retry_backoff_ms(opt, c.spec, c.attempt),
+              c.delay_ms)
+        << "seed " << c.seed << " shard " << c.spec.id() << " attempt "
+        << c.attempt;
+  }
+}
+
 TEST(CampaignBackoff, JitterStaysInsideTheExponentialEnvelope) {
   CampaignOptions opt;
   opt.backoff_base_ms = 100;
