@@ -28,13 +28,12 @@
 //
 // total_seconds is the wall clock of the whole LOO run and the basis of
 // speedup_vs_1t. The *_seconds_sum fields add up per-fold phase times;
-// folds overlap when they run concurrently, so the sums can exceed the
-// wall clock (and *grow* with thread count) — they measure aggregate
-// work, not elapsed time. The *_seconds_wall fields are the elapsed
-// wall clock actually covered by each phase: the union of that phase's
-// span intervals across all workers, which is what an Amdahl breakdown
-// needs (train_wall + score_wall <= total, and each shrinks as threads
-// are added).
+// they measure aggregate work, not elapsed time, and would exceed the
+// wall clock wherever phase spans overlap. The *_seconds_wall fields are
+// the elapsed wall clock actually covered by each phase: the union of
+// that phase's span intervals across all workers, which is what an
+// Amdahl breakdown needs (train_wall + score_wall <= total, and each
+// shrinks as threads are added).
 //
 // The sweep runs with observability enabled: each run's span set is
 // captured (the last run's trace is written next to the JSON, wall-clock
@@ -107,7 +106,7 @@ std::uint64_t digest_results(const std::vector<core::AttackResult>& results) {
 }
 
 /// Elapsed wall clock covered by spans named `name`: the union of their
-/// [begin_s, end_s] intervals, so concurrently-running folds are not
+/// [begin_s, end_s] intervals, so overlapping spans are not
 /// double-counted the way the per-fold sums are.
 double span_wall_seconds(const std::vector<common::obs::SpanEvent>& spans,
                          std::string_view name) {

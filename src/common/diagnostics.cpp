@@ -75,6 +75,16 @@ void DiagnosticSink::print(std::ostream& os) const {
   }
 }
 
+void DiagnosticSink::append(const DiagnosticSink& other) {
+  for (std::size_t k = 0; k < 4; ++k) counts_[k] += other.counts_[k];
+  total_ += other.total_;
+  for (const Diagnostic& d : other.diags_) {
+    if (diags_.size() >= max_stored_) break;
+    diags_.push_back(d);
+  }
+  if (!other.file_.empty()) file_ = other.file_;
+}
+
 void DiagnosticSink::clear() {
   diags_.clear();
   for (std::size_t& c : counts_) c = 0;

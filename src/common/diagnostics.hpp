@@ -88,8 +88,17 @@ class DiagnosticSink {
 
   void clear();
 
+  /// Replays `other`'s diagnostics into this sink, in order: its stored
+  /// diagnostics (with their file names) up to this sink's cap, its
+  /// per-severity counts and its dropped ones, and its current file name
+  /// when it has one. The result equals reporting `other`'s stream here
+  /// whenever `other` stored at least as many diagnostics as this sink
+  /// has room left — always so when `other`'s cap is at least this one's.
+  void append(const DiagnosticSink& other);
+
   /// Storage cap; further diagnostics are counted but not stored.
   void set_max_stored(std::size_t n) { max_stored_ = n; }
+  std::size_t max_stored() const { return max_stored_; }
   std::size_t dropped() const { return total_ - diags_.size(); }
 
  private:

@@ -179,20 +179,4 @@ inline void parallel_for(std::int64_t n,
   global_pool().parallel_for(n, body, cancel, grain);
 }
 
-/// Maps fn over [0, n) into a vector, in parallel; out[i] = fn(i).
-/// T must be default-constructible (use std::optional otherwise).
-/// With a cancel token, slots whose index was skipped stay
-/// default-constructed (see the parallel_for cancellation contract).
-template <class T, class Fn>
-std::vector<T> parallel_map(std::int64_t n, Fn&& fn,
-                            const CancelToken* cancel = nullptr,
-                            std::int64_t grain = 1) {
-  std::vector<T> out(static_cast<std::size_t>(n));
-  parallel_for(
-      n,
-      [&](std::int64_t i) { out[static_cast<std::size_t>(i)] = fn(i); },
-      cancel, grain);
-  return out;
-}
-
 }  // namespace repro::common

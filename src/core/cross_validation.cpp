@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/obs.hpp"
-#include "common/parallel.hpp"
 
 namespace repro::core {
 
@@ -141,22 +140,18 @@ std::vector<std::optional<AttackResult>> ChallengeSuite::run_all_checkpointed(
     if (!out[s]) models[s] = load_fold_model(rc, sink, i);
   }
 
-  // Compute phase: the missing folds, concurrently. Fold i only touches
-  // slot i (and its own checkpoint artifacts), and CheckpointManager
-  // writes are thread-safe. Nested parallel regions (tree training,
-  // target scoring) execute inline on the fold's worker.
-  auto fresh = common::parallel_map<std::optional<AttackResult>>(
-      n,
-      [&](std::int64_t i) -> std::optional<AttackResult> {
-        const std::size_t s = static_cast<std::size_t>(i);
-        if (out[s]) return std::nullopt;  // loaded from checkpoint
-        return compute_fold(config, rc, i, std::move(models[s]));
-      },
-      rc.cancel);
-
+  // Compute phase: the missing folds, in fold order on the calling
+  // thread. A fold's tree-training and target-scoring loops are the
+  // parallel regions, so each spans the whole pool; running folds
+  // concurrently would instead run those loops inline on one worker per
+  // fold and leave workers idle behind the longest fold chunk. Fold i
+  // only touches slot i (and its own checkpoint artifacts), and its body
+  // is index-pure, so results are the same at any thread count.
   for (std::int64_t i = 0; i < n; ++i) {
+    if (rc.cancelled()) break;
     const std::size_t s = static_cast<std::size_t>(i);
-    if (!out[s] && fresh[s]) out[s] = std::move(fresh[s]);
+    if (out[s]) continue;  // loaded from checkpoint
+    out[s] = compute_fold(config, rc, i, std::move(models[s]));
   }
   return out;
 }

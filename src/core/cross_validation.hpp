@@ -36,8 +36,11 @@ class ChallengeSuite {
   /// run_all with resilience services: completed folds are checkpointed
   /// (model while the fold is in flight, result when it finishes) and
   /// loaded instead of recomputed on resume; cancellation and budget
-  /// pressure are honoured at fold boundaries. Slot i is nullopt when
-  /// fold i was not completed (cancelled / budget exhausted). Because
+  /// pressure are honoured at fold boundaries. Folds run one after
+  /// another in fold order on the calling thread; within a fold, the
+  /// tree-training and target-scoring loops span the whole pool. Slot i
+  /// is nullopt when fold i was not completed (cancelled / budget
+  /// exhausted). Because
   /// every fold is a pure function of (challenges, config, i) and the
   /// artifacts round-trip by bit pattern, a resumed run's results are
   /// bit-identical to an uninterrupted run's at any thread count.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/obs.hpp"
+#include "common/parallel.hpp"
 
 namespace repro::core {
 
@@ -92,23 +93,42 @@ DefBatch load_challenges_from_defs(const std::vector<std::string>& paths,
                                    const DefLoadOptions& opt,
                                    common::DiagnosticSink& sink) {
   OBS_SPAN("ingest.batch");
-  DefBatch batch;
   const auto lib = std::make_shared<const netlist::Library>(lef.lib);
-  for (const std::string& path : paths) {
-    DefLoadOutcome outcome;
-    outcome.path = path;
-    common::StatusOr<splitmfg::SplitChallenge> ch =
-        load_challenge_from_def(path, lef, lib, opt, sink,
-                                &outcome.validation);
+  const std::size_t n = paths.size();
+  // Designs load concurrently: design i writes only outcome slot i and
+  // its own sink (with the caller's storage cap, so the replay below
+  // stores exactly what reporting into `sink` directly would).
+  std::vector<DefLoadOutcome> outcomes(n);
+  std::vector<common::DiagnosticSink> sinks(n);
+  common::parallel_for(static_cast<std::int64_t>(n), [&](std::int64_t i) {
+    const std::size_t s = static_cast<std::size_t>(i);
+    DefLoadOutcome& outcome = outcomes[s];
+    common::DiagnosticSink& own = sinks[s];
+    own.set_max_stored(sink.max_stored());
+    outcome.path = paths[s];
+    common::StatusOr<splitmfg::SplitChallenge> ch = load_challenge_from_def(
+        outcome.path, lef, lib, opt, own, &outcome.validation);
     if (ch.ok()) {
       outcome.loaded = true;
       outcome.challenge = std::move(ch).value();
-      ++batch.num_loaded;
     } else {
       outcome.status = ch.status();
+    }
+  });
+
+  // Replay in path order, so the batch and the caller's diagnostic stream
+  // are those of a serial loop. Under opt.strict the replay stops at the
+  // first failure; designs after it were parsed, but their outcomes and
+  // diagnostics are discarded.
+  DefBatch batch;
+  for (std::size_t s = 0; s < n; ++s) {
+    sink.append(sinks[s]);
+    if (outcomes[s].loaded) {
+      ++batch.num_loaded;
+    } else {
       ++batch.num_skipped;
     }
-    batch.designs.push_back(std::move(outcome));
+    batch.designs.push_back(std::move(outcomes[s]));
     if (opt.strict && batch.num_skipped > 0) break;
   }
   OBS_COUNT("ingest.designs_loaded", batch.num_loaded);

@@ -31,7 +31,9 @@ ChallengeSuite make_suite(std::span<const synth::SynthDesign> designs,
 /// Options for loading DEF designs from disk.
 struct DefLoadOptions {
   int split_layer = 8;
-  bool strict = false;   ///< stop the batch at the first bad design
+  /// Stop the batch at the first bad design (in path order): designs after
+  /// it are not reported, though the parallel load may have parsed them.
+  bool strict = false;
   bool validate = true;  ///< run the layout validator before the cut
   bool repair = true;    ///< let the validator auto-repair defects
   splitmfg::SplitOptions split;
@@ -68,9 +70,14 @@ common::StatusOr<splitmfg::SplitChallenge> load_challenge_from_def(
 
 /// Loads a batch of DEF files with per-design failure isolation: a corrupt
 /// or invalid design is reported (diagnostics in `sink`, Status in its
-/// DefLoadOutcome) and skipped while the rest of the batch proceeds. With
-/// `opt.strict` the batch stops at the first failure instead, mirroring
-/// the old fail-fast behaviour.
+/// DefLoadOutcome) and skipped while the rest of the batch proceeds.
+/// Designs are loaded in parallel across the pool, each into its own
+/// outcome slot and diagnostic sink; the sinks are then replayed into
+/// `sink` in path order, so the batch and the diagnostic stream are the
+/// same at any thread count. With `opt.strict` the batch stops at the
+/// first failure instead, mirroring the old fail-fast behaviour: the
+/// returned batch and `sink` hold exactly what a serial load that stopped
+/// there would have reported.
 DefBatch load_challenges_from_defs(
     const std::vector<std::string>& paths, const lefdef::LefContents& lef,
     const DefLoadOptions& opt, common::DiagnosticSink& sink);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/diagnostics.hpp"
+#include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "core/pipeline.hpp"
 #include "fault_injection.hpp"
@@ -238,10 +239,13 @@ class BatchIsolation : public ::testing::Test {
     lefdef::write_def(def_ss, *design_->netlist, design_->routes);
     def_text_ = def_ss.str();
 
-    dir_ = ::testing::TempDir();
-    good1_ = dir_ + "/good1.def";
-    bad_ = dir_ + "/bad.def";
-    good2_ = dir_ + "/good2.def";
+    // Per-test file names: ctest runs these tests as concurrent
+    // processes sharing one temp dir, and TearDown removes the files.
+    dir_ = ::testing::TempDir() +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    good1_ = dir_ + "_good1.def";
+    bad_ = dir_ + "_bad.def";
+    good2_ = dir_ + "_good2.def";
     write_file(good1_, def_text_);
     // Truncate mid-file: unrecoverable, the design must be skipped.
     write_file(bad_, def_text_.substr(0, def_text_.size() / 2));
@@ -303,7 +307,7 @@ TEST_F(BatchIsolation, StrictModeStopsAtFirstFailure) {
 
   EXPECT_EQ(batch.num_skipped, 1);
   EXPECT_EQ(batch.num_loaded, 1);
-  // good2 was never attempted.
+  // good2's outcome is not reported.
   EXPECT_EQ(batch.designs.size(), 2u);
 }
 
@@ -313,10 +317,130 @@ TEST_F(BatchIsolation, MissingFileIsIsolatedToo) {
   common::DiagnosticSink sink;
   const lefdef::LefContents contents = lef();
   core::DefBatch batch = core::load_challenges_from_defs(
-      {dir_ + "/does_not_exist.def", good1_}, contents, opt, sink);
+      {dir_ + "_does_not_exist.def", good1_}, contents, opt, sink);
   EXPECT_EQ(batch.num_loaded, 1);
   EXPECT_EQ(batch.num_skipped, 1);
   EXPECT_EQ(batch.designs[0].status.code(), common::StatusCode::kIoError);
+}
+
+// Everything a caller can observe of a batch load, rendered to text:
+// per-design flags, statuses and validation reports, every stored
+// diagnostic, and the sink's totals.
+std::vector<std::string> observe_batch(const core::DefBatch& batch,
+                                       const common::DiagnosticSink& sink) {
+  std::vector<std::string> out;
+  out.push_back("loaded=" + std::to_string(batch.num_loaded) +
+                " skipped=" + std::to_string(batch.num_skipped));
+  for (const core::DefLoadOutcome& d : batch.designs) {
+    const splitmfg::ValidationReport& v = d.validation;
+    out.push_back(d.path + " loaded=" + std::to_string(d.loaded) +
+                  " status=" + d.status.to_string() + " validation=" +
+                  v.summary() + " " + std::to_string(v.fatal) + "/" +
+                  std::to_string(v.repaired) + "/" +
+                  std::to_string(v.ignored) + "/" +
+                  std::to_string(v.cells_clamped) + "/" +
+                  std::to_string(v.wires_dropped) + "/" +
+                  std::to_string(v.vias_dropped) + "/" +
+                  std::to_string(v.duplicates_removed) + "/" +
+                  std::to_string(v.endpoints_swapped));
+  }
+  for (const common::Diagnostic& d : sink.diagnostics()) {
+    out.push_back(d.to_string());
+  }
+  out.push_back("summary=" + sink.summary() +
+                " dropped=" + std::to_string(sink.dropped()));
+  return out;
+}
+
+TEST_F(BatchIsolation, ParallelIngestMatchesSerial) {
+  // Give good2 a repairable defect (a duplicated wire segment): it still
+  // loads, but reports a diagnostic that strict mode must not replay.
+  const std::size_t wire = def_text_.find("  WIRE M");
+  ASSERT_NE(wire, std::string::npos);
+  const std::size_t eol = def_text_.find('\n', wire) + 1;
+  write_file(good2_, def_text_.substr(0, eol) +
+                         def_text_.substr(wire, eol - wire) +
+                         def_text_.substr(eol));
+  const lefdef::LefContents contents = lef();
+  const std::vector<std::string> paths{good1_, bad_, good2_};
+  for (const bool strict : {false, true}) {
+    core::DefLoadOptions opt;
+    opt.split_layer = kSplit;
+    opt.strict = strict;
+    std::vector<std::string> views[2];
+    for (const int pass : {0, 1}) {
+      common::set_global_threads(pass == 0 ? 1 : 4);
+      common::DiagnosticSink sink;
+      const core::DefBatch batch =
+          core::load_challenges_from_defs(paths, contents, opt, sink);
+      views[pass] = observe_batch(batch, sink);
+      // good2's repair diagnostic is reported in lenient mode only.
+      std::size_t from_good2 = 0;
+      for (const common::Diagnostic& d : sink.diagnostics()) {
+        if (d.file == good2_) ++from_good2;
+      }
+      if (strict) {
+        EXPECT_EQ(from_good2, 0u);
+      } else {
+        EXPECT_GT(from_good2, 0u);
+      }
+    }
+    common::set_global_threads(0);
+    EXPECT_EQ(views[0], views[1]) << "strict=" << strict;
+  }
+}
+
+// A stream reported into one capped sink, and the same stream split over
+// two sinks that are then appended, must agree on counts, storage and
+// drops — the guarantee the parallel batch loader's replay relies on.
+TEST(DiagnosticSink, AppendMatchesReportingTheSameStream) {
+  const auto report_stream = [](common::DiagnosticSink& s, int first,
+                                int count) {
+    for (int k = first; k < first + count; ++k) {
+      s.set_file("f" + std::to_string(k % 3) + ".def");
+      s.report(static_cast<common::Severity>(k % 4),
+               "code." + std::to_string(k), k, "message " + std::to_string(k));
+    }
+  };
+  const auto expect_same = [](const common::DiagnosticSink& a,
+                              const common::DiagnosticSink& b) {
+    for (int sev = 0; sev < 4; ++sev) {
+      EXPECT_EQ(a.count(static_cast<common::Severity>(sev)),
+                b.count(static_cast<common::Severity>(sev)));
+    }
+    EXPECT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.dropped(), b.dropped());
+    EXPECT_EQ(a.summary(), b.summary());
+    EXPECT_EQ(a.file(), b.file());
+    ASSERT_EQ(a.diagnostics().size(), b.diagnostics().size());
+    for (std::size_t i = 0; i < a.diagnostics().size(); ++i) {
+      EXPECT_EQ(a.diagnostics()[i].to_string(),
+                b.diagnostics()[i].to_string());
+    }
+  };
+  constexpr std::size_t kCap = 8;
+  // The merged sink's cap is reached inside the second part (3, 6; at 3
+  // the second part also overflows its own cap) or inside the first (11).
+  for (const int first_part : {3, 6, 11}) {
+    common::DiagnosticSink one;
+    one.set_max_stored(kCap);
+    report_stream(one, 0, 14);
+
+    common::DiagnosticSink merged;
+    merged.set_max_stored(kCap);
+    common::DiagnosticSink head, tail;
+    head.set_max_stored(kCap);
+    tail.set_max_stored(kCap);
+    report_stream(head, 0, first_part);
+    report_stream(tail, first_part, 14 - first_part);
+    merged.append(head);
+    merged.append(tail);
+
+    SCOPED_TRACE("first_part=" + std::to_string(first_part));
+    EXPECT_EQ(one.size(), kCap);
+    EXPECT_EQ(one.dropped(), 14 - kCap);
+    expect_same(one, merged);
+  }
 }
 
 }  // namespace

@@ -267,24 +267,6 @@ TEST(ParallelFor, CancelMidRegionIsPerIndexAtomic) {
   }
 }
 
-TEST(ParallelMap, CancelledSlotsStayDefaultConstructed) {
-  common::set_global_threads(1);
-  common::CancelToken cancel;
-  const auto out = common::parallel_map<std::int64_t>(
-      50,
-      [&](std::int64_t i) {
-        if (i == 7) cancel.request_cancel();
-        return i + 1;  // never 0, so 0 marks a skipped slot
-      },
-      &cancel);
-  common::set_global_threads(0);
-  ASSERT_EQ(out.size(), 50u);
-  for (std::int64_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)], i <= 7 ? i + 1 : 0)
-        << "index " << i;
-  }
-}
-
 TEST(ParallelFor, TokenResetReArmsTheRegion) {
   common::ThreadPool pool(2);
   common::CancelToken cancel;
@@ -299,17 +281,6 @@ TEST(ParallelFor, TokenResetReArmsTheRegion) {
   pool.parallel_for(
       100, [&](std::int64_t) { ++count; }, &cancel);
   EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ParallelMap, ProducesOrderedResults) {
-  common::set_global_threads(4);
-  const auto out = common::parallel_map<std::int64_t>(
-      100, [](std::int64_t i) { return i * i; });
-  common::set_global_threads(0);
-  ASSERT_EQ(out.size(), 100u);
-  for (std::int64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)], i * i);
-  }
 }
 
 TEST(DeriveSeed, DeterministicAndWellSpread) {
@@ -593,7 +564,7 @@ TEST_F(AttackThreadInvariance, LeaveOneOutSuiteMatches) {
   const core::ChallengeSuite suite(challenges_);
   common::set_global_threads(1);
   const std::vector<core::AttackResult> baseline = suite.run_all(cfg);
-  for (const int threads : {2, 8}) {
+  for (const int threads : {2, 3, 4, 8}) {
     common::set_global_threads(threads);
     const std::vector<core::AttackResult> other = suite.run_all(cfg);
     ASSERT_EQ(baseline.size(), other.size());
