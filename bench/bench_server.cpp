@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
   // /shard: the remote-campaign route. Cold serves the sealed result
   // payload (models are already warm, so this prices the fold test +
   // sealing); the replay prices the idempotency tier a torn-response
-  // retry hits — answered from the result map, no recompute.
+  // retry hits — answered from the artifact cache, no recompute.
   double shard_cold_ms = 0, shard_replay_ms = 0;
   {
     common::http::Server::Options hopt;

@@ -15,6 +15,10 @@
 #          determinism contract),
 #        - /metrics carries the cache counters and the histogram _sum
 #          series (the Prometheus exposition fix),
+#        - a /shard retry is answered from the artifact cache
+#          (X-Result-Source: memory) with a cmp-identical body and the
+#          same X-Payload-Fnv, and the sealed result is charged to
+#          server_cache_bytes,
 #        - a silent client and a byte-at-a-time dribbling client
 #          neither wedge the server nor get misparsed (the serve-loop
 #          hang fix: the next real request must still be served),
@@ -131,6 +135,47 @@ assert "server_requests_scored_total" in metrics
 assert "_sum " in metrics, "histogram _sum series missing from /metrics"
 print("   /metrics exposes cache counters and histogram _sum")
 EOF
+
+echo "== server: /shard retry is a byte-identical memory replay =="
+python3 - "$PORT" "$OUT" <<'EOF'
+import sys, urllib.request
+
+port, out = sys.argv[1], sys.argv[2]
+
+def cache_bytes():
+    metrics = urllib.request.urlopen(
+        f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
+    for line in metrics.splitlines():
+        if line.startswith("server_cache_bytes "):
+            return int(line.split()[1])
+    raise AssertionError("server_cache_bytes missing from /metrics")
+
+def shard(fold, path):
+    req = urllib.request.Request(
+        f"http://127.0.0.1:{port}/shard",
+        data=f'{{"fold": {fold}}}'.encode(),
+        headers={"Content-Type": "application/json"}, method="POST")
+    resp = urllib.request.urlopen(req, timeout=600)
+    body = resp.read()
+    open(path, "wb").write(body)
+    return resp.headers, len(body)
+
+before = cache_bytes()
+first, size = shard(1, f"{out}/shard_first.bin")
+second, _ = shard(1, f"{out}/shard_second.bin")
+assert first["X-Result-Source"] in ("computed", "store"), dict(first)
+assert second["X-Result-Source"] == "memory", dict(second)
+assert second["X-Payload-Fnv"] == first["X-Payload-Fnv"]
+assert second["X-Result-Digest"] == first["X-Result-Digest"]
+grew = cache_bytes() - before
+assert grew >= size, f"server_cache_bytes grew {grew} < payload {size}"
+print(f"   {size}-byte result replayed from memory, "
+      f"server_cache_bytes +{grew}")
+EOF
+cmp "$OUT/shard_first.bin" "$OUT/shard_second.bin" || {
+  echo "FAIL: /shard memory replay differs from the first answer"
+  exit 1
+}
 
 echo "== server: silent + dribbling clients do not wedge the loop =="
 python3 - "$PORT" <<'EOF'

@@ -55,6 +55,9 @@
 
 namespace repro::common {
 
+/// A run key or fingerprint as 16 lowercase hex digits.
+std::string hex64(std::uint64_t v);
+
 class CheckpointManager {
  public:
   /// Creates the directory (and parents) if needed, acquires the

@@ -1,9 +1,9 @@
 #include "core/attack_service.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <utility>
+#include <vector>
 
 #include "common/json_scan.hpp"
 #include "common/json_writer.hpp"
@@ -20,12 +20,7 @@ using common::JsonObject;
 using common::http::Request;
 using common::http::Response;
 
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using common::hex64;
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -46,10 +41,6 @@ Response error_response(int status, const std::string& message) {
                        JsonObject().field("error", message).str());
 }
 
-const char* source_label(CachedEnsemble::Source s) {
-  return s == CachedEnsemble::Source::kStore ? "store" : "trained";
-}
-
 }  // namespace
 
 std::uint64_t fold_model_key(const ChallengeSuite& suite,
@@ -58,14 +49,6 @@ std::uint64_t fold_model_key(const ChallengeSuite& suite,
   return attack_run_key(suite.challenges(), config) ^
          common::derive_seed(common::fnv1a64("attack_server.fold"),
                              static_cast<std::uint64_t>(fold));
-}
-
-std::string model_artifact_name(std::uint64_t key) {
-  return "model_" + hex64(key);
-}
-
-std::string result_artifact_name(std::uint64_t key) {
-  return "result_" + hex64(key);
 }
 
 common::StatusOr<std::unique_ptr<AttackService>> AttackService::create(
@@ -94,63 +77,64 @@ std::uint64_t AttackService::requests_scored() const {
   return scored_.load(std::memory_order_relaxed);
 }
 
+std::optional<Response> AttackService::refusal(
+    common::BudgetPressure* pressure) {
+  *pressure = opt_.budget != nullptr ? opt_.budget->pressure()
+                                     : common::BudgetPressure::kNone;
+  const bool exceeded = *pressure == common::BudgetPressure::kExceeded;
+  if (!exceeded && (opt_.cancel == nullptr || !opt_.cancel->cancelled())) {
+    return std::nullopt;
+  }
+  rejected_busy_.fetch_add(1, std::memory_order_relaxed);
+  Response resp = error_response(503, exceeded ? "budget exceeded"
+                                               : "shutting down");
+  if (exceeded) resp.extra_headers.emplace_back("Retry-After", "1");
+  return resp;
+}
+
+common::StatusOr<std::string> AttackService::read_store(
+    const std::string& name) {
+  if (!store_.has_value()) return common::Status::NotFound("no store");
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  if (!store_->has(name)) return common::Status::NotFound(name);
+  // A corrupt artifact fails here, and the checkpoint layer drops its
+  // manifest entry.
+  return store_->read(name, store_sink_);
+}
+
+void AttackService::write_store(const std::string& name,
+                                const std::string& bytes) {
+  if (!store_.has_value()) return;
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  // Best-effort: a full disk must not fail the request, only the warm
+  // restart path.
+  (void)store_->write(name, bytes);
+}
+
 std::shared_ptr<const CachedEnsemble> AttackService::hydrate(
     const ChallengeSuite& suite, const AttackConfig& config,
-    std::int64_t fold, std::uint64_t key, const char** source) {
-  if (auto entry = cache_->get(key)) {
-    *source = "hit";
-    return entry;
-  }
-  // Singleflight: the first thread to miss trains (or loads); threads
-  // that pile onto the same key wait here and then hit the cache.
-  std::shared_ptr<std::mutex> gate;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    auto& slot = inflight_[key];
-    if (slot == nullptr) slot = std::make_shared<std::mutex>();
-    gate = slot;
-  }
-  std::lock_guard<std::mutex> flight(*gate);
-  if (auto entry = cache_->get(key)) {
-    *source = "hit";
-    return entry;
-  }
-
-  auto entry = std::make_shared<CachedEnsemble>();
-  bool hydrated = false;
-  const std::string name = model_artifact_name(key);
-  if (store_.has_value()) {
-    std::lock_guard<std::mutex> lock(store_mutex_);
-    if (store_->has(name)) {
-      auto raw = store_->read(name, store_sink_);
-      if (raw.ok()) {
-        auto model = load_model(*raw);
-        if (model.ok()) {
-          entry->model = std::move(*model);
-          entry->source = CachedEnsemble::Source::kStore;
-          hydrated = true;
-        }
-      }
-      // Corrupt / unreadable artifacts fall through to retraining —
-      // the checkpoint layer has already dropped the manifest entry.
+    std::int64_t fold, const char** source) {
+  *source = "hit";
+  const std::string name =
+      model_artifact_name(fold_model_key(suite, config, fold));
+  return cache_->get_or_load<CachedEnsemble>(name, [&] {
+    auto entry = std::make_shared<CachedEnsemble>();
+    const auto raw = read_store(name);
+    auto model = raw.ok() ? load_model(*raw) : raw.status();
+    if (model.ok()) {
+      *source = "store";
+      entry->model = std::move(*model);
+    } else {
+      // Absent or corrupt in the store: train, and store the artifact.
+      *source = "trained";
+      entry->model = AttackEngine::train(
+          suite.training_for(static_cast<std::size_t>(fold)), config);
+      write_store(name, save_model(entry->model));
     }
-  }
-  if (!hydrated) {
-    const auto training = suite.training_for(static_cast<std::size_t>(fold));
-    entry->model = AttackEngine::train(training, config);
-    entry->source = CachedEnsemble::Source::kTrained;
-    if (store_.has_value()) {
-      std::lock_guard<std::mutex> lock(store_mutex_);
-      // Best-effort: a full disk must not fail the request, only the
-      // warm restart path.
-      (void)store_->write(name, save_model(entry->model));
-    }
-  }
-  entry->forest = ml::FlatForest::build(entry->model.classifier);
-  entry->bytes = estimate_ensemble_bytes(*entry);
-  *source = source_label(entry->source);
-  cache_->put(key, entry);
-  return entry;
+    entry->forest = ml::FlatForest::build(entry->model.classifier);
+    entry->bytes = estimate_ensemble_bytes(*entry);
+    return entry;
+  });
 }
 
 bool AttackService::parse_target(const Request& req, ShardTarget* out,
@@ -197,38 +181,23 @@ Response AttackService::handle_score(const Request& req) {
   ShardTarget target;
   Response error;
   if (!parse_target(req, &target, &error)) return error;
-  const int layer = target.layer;
   const std::int64_t fold = target.fold;
-  const std::string& config_name = target.config_name;
   const ChallengeSuite& suite = *target.suite;
   AttackConfig config = target.config;
-  const double threshold = target.threshold;
 
-  // Admission under the budget ladder.
-  bool degraded = false;
-  if (opt_.budget != nullptr) {
-    const common::BudgetPressure pressure = opt_.budget->pressure();
-    if (pressure == common::BudgetPressure::kExceeded) {
-      rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-      Response resp = error_response(503, "budget exceeded");
-      resp.extra_headers.emplace_back("Retry-After", "1");
-      return resp;
-    }
-    degraded = apply_degradation(config, pressure, fold);
-  }
-  if (opt_.cancel != nullptr && opt_.cancel->cancelled()) {
-    rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-    return error_response(503, "shutting down");
-  }
+  // Admission under the budget ladder: soft/hard pressure is served
+  // degraded.
+  common::BudgetPressure pressure;
+  if (auto busy = refusal(&pressure)) return *busy;
+  const bool degraded = apply_degradation(config, pressure, fold);
 
   // All compute inline on this handler thread: the deterministic pool
   // is single-caller, and inline results are bit-identical (see
   // common::ScopedInline).
   common::ScopedInline inline_region;
-  const std::uint64_t key = fold_model_key(suite, config, fold);
   const char* source = "trained";
   const double t0 = now_seconds();
-  const auto entry = hydrate(suite, config, fold, key, &source);
+  const auto entry = hydrate(suite, config, fold, &source);
   const double t1 = now_seconds();
   const AttackResult result =
       AttackEngine::test(entry->model, entry->forest,
@@ -243,14 +212,14 @@ Response AttackService::handle_score(const Request& req) {
 
   JsonObject obj;
   obj.field("design", result.design())
-      .field("layer", layer)
+      .field("layer", target.layer)
       .field("fold", static_cast<long>(fold))
-      .field("config", config_name)
+      .field("config", target.config_name)
       .field("digest", hex64(result_digest(result)))
       .field("num_vpins", result.num_vpins())
-      .field("threshold", threshold)
-      .field("mean_loc", result.mean_loc_at_threshold(threshold))
-      .field("accuracy", result.accuracy_at_threshold(threshold))
+      .field("threshold", target.threshold)
+      .field("mean_loc", result.mean_loc_at_threshold(target.threshold))
+      .field("accuracy", result.accuracy_at_threshold(target.threshold))
       .field("cache", source)
       .field("degraded", degraded)
       .field("hydrate_seconds", t1 - t0)
@@ -277,121 +246,43 @@ Response AttackService::handle_shard(const Request& req) {
   // Admission: only the hard ceiling pushes back. No degradation here —
   // a degraded shard result would break byte-identity with the
   // monolithic CLI, which is the whole point of the route.
-  if (opt_.budget != nullptr &&
-      opt_.budget->pressure() == common::BudgetPressure::kExceeded) {
-    rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-    Response resp = error_response(503, "budget exceeded");
-    resp.extra_headers.emplace_back("Retry-After", "1");
-    return resp;
-  }
-  if (opt_.cancel != nullptr && opt_.cancel->cancelled()) {
-    rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-    return error_response(503, "shutting down");
-  }
+  common::BudgetPressure pressure;
+  if (auto busy = refusal(&pressure)) return *busy;
 
-  const std::uint64_t key =
-      fold_model_key(suite, target.config, target.fold);
-  const char* result_source = "computed";
-  std::string payload;
-
-  // Idempotency tier 1: the in-memory result map.
-  {
-    std::lock_guard<std::mutex> lock(results_mutex_);
-    auto it = results_.find(key);
-    if (it != results_.end()) {
-      payload = it->second;
-      result_source = "memory";
-    }
-  }
-
-  // Tier 2: the persistent store (survives a server restart). The
-  // envelope CRC inside the payload is re-checked by load_result below
-  // before the bytes are vouched for.
-  if (payload.empty() && store_.has_value()) {
-    const std::string name = result_artifact_name(key);
-    std::lock_guard<std::mutex> lock(store_mutex_);
-    if (store_->has(name)) {
-      auto raw = store_->read(name, store_sink_);
-      if (raw.ok()) {
-        payload = std::move(*raw);
-        result_source = "store";
-      }
-    }
-  }
-
-  std::uint64_t digest = 0;
-  if (!payload.empty()) {
-    auto decoded = load_result(payload);
-    if (decoded.ok()) {
-      digest = result_digest(*decoded);
-    } else {
-      payload.clear();  // damaged replay tier: recompute below
-      result_source = "computed";
-    }
-  }
-
-  if (payload.empty()) {
-    // Singleflight on a shard-scoped gate so concurrent retries of the
-    // same fold execute once; losers re-check the result map above via
-    // the store/memory tiers on their own retry, or recompute a cached
-    // model (cheap) right here.
-    std::shared_ptr<std::mutex> gate;
-    const std::uint64_t gate_key =
-        key ^ common::fnv1a64("attack_server.shard_gate");
-    {
-      std::lock_guard<std::mutex> lock(inflight_mutex_);
-      auto& slot = inflight_[gate_key];
-      if (slot == nullptr) slot = std::make_shared<std::mutex>();
-      gate = slot;
-    }
-    std::lock_guard<std::mutex> flight(*gate);
-    {
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      auto it = results_.find(key);
-      if (it != results_.end()) {
-        payload = it->second;
-        result_source = "memory";
-      }
-    }
-    if (payload.empty()) {
-      common::ScopedInline inline_region;
-      const char* model_source = "trained";
-      const auto entry =
-          hydrate(suite, target.config, target.fold, key, &model_source);
-      const AttackResult result = AttackEngine::test(
-          entry->model, entry->forest,
-          suite.challenge(static_cast<std::size_t>(target.fold)),
-          opt_.cancel);
-      if (result.interrupted) {
-        rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-        return error_response(503, "shard interrupted by shutdown");
-      }
-      payload = save_result(result);
-      digest = result_digest(result);
-      shard_computed_.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(results_mutex_);
-        if (results_.emplace(key, payload).second) {
-          results_order_.push_back(key);
-          // Bounded FIFO: sealed results are small, but a long-lived
-          // server must not grow without limit.
-          constexpr std::size_t kMaxResults = 512;
-          if (results_order_.size() > kMaxResults) {
-            results_.erase(results_order_.front());
-            results_order_.erase(results_order_.begin());
+  // The sealed result comes from the cache ("memory"); else the loader
+  // reads the persistent store ("store") or computes it ("computed").
+  const std::string name = result_artifact_name(
+      fold_model_key(suite, target.config, target.fold));
+  const char* result_source = "memory";
+  const auto sealed = cache_->get_or_load<SealedResult>(
+      name, [&]() -> std::shared_ptr<const SealedResult> {
+        // Bytes from disk are vouched for only after a full decode
+        // (envelope CRC + structure); a damaged artifact is recomputed.
+        if (auto raw = read_store(name); raw.ok()) {
+          auto decoded = load_result(*raw);
+          if (decoded.ok()) {
+            result_source = "store";
+            return seal_result(std::move(*raw), result_digest(*decoded));
           }
         }
-      }
-      if (store_.has_value()) {
-        std::lock_guard<std::mutex> lock(store_mutex_);
-        // Best-effort, like the model store: a full disk costs only the
-        // restart/idempotency tier, not this response.
-        (void)store_->write(result_artifact_name(key), payload);
-      }
-    } else {
-      auto decoded = load_result(payload);
-      if (decoded.ok()) digest = result_digest(*decoded);
-    }
+        common::ScopedInline inline_region;
+        const char* model_source = "trained";
+        const auto entry =
+            hydrate(suite, target.config, target.fold, &model_source);
+        const AttackResult result = AttackEngine::test(
+            entry->model, entry->forest,
+            suite.challenge(static_cast<std::size_t>(target.fold)),
+            opt_.cancel);
+        if (result.interrupted) return nullptr;  // cached nothing
+        result_source = "computed";
+        shard_computed_.fetch_add(1, std::memory_order_relaxed);
+        auto fresh = seal_result(save_result(result), result_digest(result));
+        write_store(name, fresh->payload);
+        return fresh;
+      });
+  if (sealed == nullptr) {
+    rejected_busy_.fetch_add(1, std::memory_order_relaxed);
+    return error_response(503, "shard interrupted by shutdown");
   }
 
   if (result_source[0] == 'm') {
@@ -405,14 +296,13 @@ Response AttackService::handle_shard(const Request& req) {
   Response resp;
   resp.status = 200;
   resp.content_type = "application/octet-stream";
-  resp.body = std::move(payload);
+  resp.body = sealed->payload;
   resp.extra_headers.emplace_back(
       "X-Run-Key",
       hex64(attack_run_key(suite.challenges(), target.config)));
-  resp.extra_headers.emplace_back("X-Result-Digest", hex64(digest));
+  resp.extra_headers.emplace_back("X-Result-Digest", hex64(sealed->digest));
   resp.extra_headers.emplace_back("X-Result-Source", result_source);
-  resp.extra_headers.emplace_back("X-Payload-Fnv",
-                                  hex64(common::fnv1a64(resp.body)));
+  resp.extra_headers.emplace_back("X-Payload-Fnv", hex64(sealed->fnv));
   resp.extra_headers.emplace_back("X-Layer",
                                   std::to_string(target.layer));
   resp.extra_headers.emplace_back("X-Fold", std::to_string(target.fold));

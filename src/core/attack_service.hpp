@@ -17,8 +17,8 @@
 //      checkpoint/campaign layers use, so "the same computation" has
 //      one name across the batch CLI, the store, and this cache.
 //   3. Hydration. Cache hit: score immediately ("cache":"hit"). Miss:
-//      a per-key singleflight lock collapses concurrent identical
-//      requests into one hydration, which loads the CRC-sealed model
+//      ArtifactCache::get_or_load's singleflight collapses concurrent
+//      identical requests into one hydration, which loads the model
 //      artifact from the checkpoint store if present ("store") and
 //      trains otherwise ("trained", writing the artifact back). Either
 //      way the ensemble is flattened to a FlatForest once, at insert.
@@ -35,15 +35,16 @@
 // local worker would have written into its shard checkpoint), stamped
 // with X-Run-Key / X-Result-Digest / X-Payload-Fnv headers so the client
 // can place and verify the artifact without decoding it. Shard execution
-// is idempotent by construction: results are stored under their
-// fold/config fingerprint (in memory and, when store_dir is set, in the
-// persistent store as "result_<hex16>"), so a client retrying after a
-// torn response is answered from the store — the fold is never trained
-// twice (X-Result-Source: computed | memory | store, with counters for
-// tests). /shard never degrades under budget pressure: a degraded result
-// would silently break the byte-identical-digest contract with the
-// monolithic CLI, so pressure short of kExceeded runs at full fidelity
-// and kExceeded answers 503 + Retry-After like /score.
+// is idempotent: the sealed result lives as "result_<hex16>" in the
+// ArtifactCache, under the models' byte budget, and in the store when
+// store_dir is set; the cache's singleflight runs concurrent retries
+// once. A retry after a torn response is answered from memory or the
+// store, never retrained while either holds the result (X-Result-Source:
+// computed | memory | store, counted for tests); cache_bytes 0 leaves
+// only the store. /shard never degrades under budget pressure: a
+// degraded result would break the byte-identical-digest contract with
+// the monolithic CLI, so pressure short of kExceeded runs at full
+// fidelity and kExceeded answers 503 + Retry-After like /score.
 //
 // GET /status reports suites, cache and store state as JSON; /metrics
 // exports the obs registry (Prometheus text, with the histogram _sum
@@ -58,7 +59,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/cancel.hpp"
 #include "common/checkpoint.hpp"
@@ -71,7 +71,7 @@ namespace repro::core {
 class AttackService {
  public:
   struct Options {
-    std::size_t cache_bytes = 256u << 20;  ///< warm-model LRU capacity
+    std::size_t cache_bytes = 256u << 20;  ///< models + results; 0 = none
     std::string store_dir;      ///< "" = no persistent model store
     double default_threshold = 0.5;
     common::Budget* budget = nullptr;       ///< admission ladder (opt.)
@@ -98,7 +98,7 @@ class AttackService {
   struct ShardStats {
     std::uint64_t requests = 0;     ///< /shard requests answered 200
     std::uint64_t computed = 0;     ///< folds actually executed
-    std::uint64_t memory_hits = 0;  ///< served from the in-memory results
+    std::uint64_t memory_hits = 0;  ///< served from the ArtifactCache
     std::uint64_t store_hits = 0;   ///< served from the persistent store
   };
   ShardStats shard_stats() const;
@@ -127,11 +127,20 @@ class AttackService {
   bool parse_target(const common::http::Request& req, ShardTarget* out,
                     common::http::Response* error);
 
+  /// Admission: 503 (+ Retry-After) when the budget is exhausted, 503
+  /// while draining, else nullopt; reports the budget pressure.
+  std::optional<common::http::Response> refusal(
+      common::BudgetPressure* pressure);
+
   /// Cache-or-store-or-train for one (suite, config, fold); returns the
   /// entry and labels where it came from ("hit" | "store" | "trained").
   std::shared_ptr<const CachedEnsemble> hydrate(
       const ChallengeSuite& suite, const AttackConfig& config,
-      std::int64_t fold, std::uint64_t key, const char** source);
+      std::int64_t fold, const char** source);
+
+  /// Store access: kNotFound / no-op without a store; best-effort writes.
+  common::StatusOr<std::string> read_store(const std::string& name);
+  void write_store(const std::string& name, const std::string& bytes);
 
   const std::map<int, ChallengeSuite> suites_;
   const Options opt_;
@@ -143,20 +152,9 @@ class AttackService {
   std::optional<common::CheckpointManager> store_;
   common::DiagnosticSink store_sink_;
 
-  /// Singleflight: one hydration per key at a time; concurrent misses
-  /// on the same key wait and then hit the cache.
-  std::mutex inflight_mutex_;
-  std::map<std::uint64_t, std::shared_ptr<std::mutex>> inflight_;
-
   std::atomic<std::uint64_t> scored_{0};
   std::atomic<std::uint64_t> rejected_busy_{0};  ///< 503s (budget)
   std::atomic<std::uint64_t> bad_requests_{0};   ///< 4xx route-level
-
-  /// Sealed /shard result payloads by result key — the fast idempotency
-  /// tier (the persistent store is the durable one). Bounded FIFO.
-  std::mutex results_mutex_;
-  std::map<std::uint64_t, std::string> results_;
-  std::vector<std::uint64_t> results_order_;
 
   std::atomic<std::uint64_t> shard_requests_{0};
   std::atomic<std::uint64_t> shard_computed_{0};
@@ -169,11 +167,5 @@ class AttackService {
 /// folds do not collide under xor with other stream tweaks).
 std::uint64_t fold_model_key(const ChallengeSuite& suite,
                              const AttackConfig& config, std::int64_t fold);
-
-/// Store artifact name for a model key ("model_<hex16>").
-std::string model_artifact_name(std::uint64_t key);
-
-/// Store artifact name for a sealed /shard result ("result_<hex16>").
-std::string result_artifact_name(std::uint64_t key);
 
 }  // namespace repro::core

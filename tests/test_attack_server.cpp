@@ -1,12 +1,14 @@
 // The attack service behind split_attack_server (core/attack_service):
 // route-level validation, concurrent-client digest parity with the
 // direct engine, the warm cache / store / retrain hydration ladder, LRU
-// eviction under a small --cache-mb, budget admission, and shutdown
-// drain. Runs against a real common::http::Server on the loopback
+// eviction under a small --cache-mb (models and sealed /shard results
+// share its byte budget), /shard singleflight, budget admission, and
+// shutdown drain. Runs against a real common::http::Server on the loopback
 // interface — the only thing these tests do not cover is the tool's
 // argv parsing (scripts/check_server.sh exercises the binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -44,12 +46,17 @@ const ChallengeSuite& suite() {
   return s;
 }
 
-/// What the batch CLI would compute for fold i: train on the others,
-/// score the held-out challenge, digest the complete result.
-const std::vector<std::string>& reference_digests() {
-  static const std::vector<std::string> digests = [] {
+/// What the batch CLI would compute for each fold i: train on the
+/// others, score the held-out challenge, digest the complete result;
+/// plus the size of its sealed save_result payload.
+struct Reference {
+  std::vector<std::string> digests;
+  std::vector<std::size_t> payload_bytes;
+};
+const Reference& reference() {
+  static const Reference ref = [] {
     const AttackConfig cfg = config_from_name("Imp-9");
-    std::vector<std::string> out;
+    Reference out;
     for (std::size_t fold = 0; fold < suite().size(); ++fold) {
       const TrainedModel model =
           AttackEngine::train(suite().training_for(fold), cfg);
@@ -58,11 +65,16 @@ const std::vector<std::string>& reference_digests() {
       char buf[24];
       std::snprintf(buf, sizeof buf, "%016llx",
                     static_cast<unsigned long long>(result_digest(res)));
-      out.push_back(buf);
+      out.digests.push_back(buf);
+      out.payload_bytes.push_back(save_result(res).size());
     }
     return out;
   }();
-  return digests;
+  return ref;
+}
+
+const std::vector<std::string>& reference_digests() {
+  return reference().digests;
 }
 
 std::unique_ptr<AttackService> make_service(AttackService::Options opt) {
@@ -253,6 +265,89 @@ TEST(AttackServer, ShardRouteAnswersRetriesIdempotently) {
   EXPECT_EQ(stats.computed, 0u);
   EXPECT_EQ(stats.store_hits, 1u);
   std::filesystem::remove_all(store_dir);
+}
+
+common::http::Request shard_request(std::size_t fold) {
+  common::http::Request req;
+  req.method = "POST";
+  req.path = "/shard";
+  req.body = score_body(fold);
+  return req;
+}
+
+TEST(AttackServer, ShardResultsStayWithinTheCacheBudget) {
+  // Room for about one and a half sealed results (models included), so
+  // the three folds' results cannot all stay in memory.
+  std::size_t largest = 0;
+  for (std::size_t b : reference().payload_bytes) {
+    largest = std::max(largest, b);
+  }
+  AttackService::Options opt;
+  opt.cache_bytes = largest * 3 / 2;
+  auto service = make_service(opt);
+
+  const auto first = service->handle(shard_request(0));
+  ASSERT_EQ(first.status, 200);
+  EXPECT_EQ(shard_header(first, "X-Result-Source"), "computed");
+  for (std::size_t fold : {1, 2}) {
+    const auto resp = service->handle(shard_request(fold));
+    ASSERT_EQ(resp.status, 200);
+    EXPECT_EQ(shard_header(resp, "X-Result-Digest"),
+              reference_digests()[fold]);
+    EXPECT_LE(service->cache_stats().bytes, opt.cache_bytes);
+  }
+  const auto cs = service->cache_stats();
+  EXPECT_GE(cs.evictions, 1u);
+  EXPECT_LE(cs.bytes, opt.cache_bytes);
+
+  // Fold 0's result was evicted and there is no store: the retry
+  // recomputes it. The sealed payload records the run's wall-clock
+  // train/test seconds, so the new body equals the first once those
+  // two fields are carried over; everything the digest covers is
+  // byte-identical.
+  const auto again = service->handle(shard_request(0));
+  ASSERT_EQ(again.status, 200);
+  EXPECT_EQ(shard_header(again, "X-Result-Source"), "computed");
+  EXPECT_EQ(shard_header(again, "X-Result-Digest"),
+            shard_header(first, "X-Result-Digest"));
+  EXPECT_EQ(shard_header(again, "X-Result-Digest"), reference_digests()[0]);
+  EXPECT_EQ(shard_header(again, "X-Payload-Fnv"),
+            hex64(common::fnv1a64(again.body)));
+  auto first_result = load_result(first.body);
+  auto again_result = load_result(again.body);
+  ASSERT_TRUE(first_result.ok() && again_result.ok());
+  again_result->train_seconds = first_result->train_seconds;
+  again_result->test_seconds = first_result->test_seconds;
+  EXPECT_TRUE(save_result(*again_result) == first.body);
+  EXPECT_EQ(service->shard_stats().computed, 4u);
+  EXPECT_LE(service->cache_stats().bytes, opt.cache_bytes);
+}
+
+TEST(AttackServer, ConcurrentShardRetriesTrainOnce) {
+  auto service = make_service({});
+  constexpr int kRetries = 6;
+  std::vector<common::http::Response> resps(kRetries);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kRetries; ++t) {
+    threads.emplace_back(
+        [&, t] { resps[t] = service->handle(shard_request(1)); });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (const auto& resp : resps) {
+    ASSERT_EQ(resp.status, 200) << resp.body;
+    EXPECT_TRUE(resp.body == resps[0].body);
+    EXPECT_EQ(shard_header(resp, "X-Payload-Fnv"),
+              shard_header(resps[0], "X-Payload-Fnv"));
+    EXPECT_EQ(shard_header(resp, "X-Result-Digest"), reference_digests()[1]);
+  }
+  EXPECT_EQ(shard_header(resps[0], "X-Payload-Fnv"),
+            hex64(common::fnv1a64(resps[0].body)));
+  const auto stats = service->shard_stats();
+  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kRetries));
+  EXPECT_EQ(stats.computed, 1u);
+  EXPECT_EQ(stats.memory_hits, static_cast<std::uint64_t>(kRetries - 1));
+  EXPECT_EQ(service->cache_stats().inflight, 0u);
 }
 
 TEST(AttackServer, TinyCacheEvictsAndRetrains) {

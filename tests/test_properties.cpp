@@ -120,9 +120,19 @@ TEST_P(ConfigSweep, ResultInvariants) {
       EXPECT_TRUE(r.has_match);
     }
   }
-  // Threshold extremes.
-  EXPECT_LE(res.accuracy_at_threshold(1.0), res.accuracy_at_threshold(0.0));
-  EXPECT_LE(res.mean_loc_at_threshold(1.0), res.mean_loc_at_threshold(0.0));
+  // |LoC| and accuracy are non-increasing in the threshold: raising it
+  // only shrinks each vpin's list of candidates.
+  double prev_loc = res.mean_loc_at_threshold(0.0);
+  double prev_acc = res.accuracy_at_threshold(0.0);
+  for (int step = 1; step <= 20; ++step) {
+    const double t = step * 0.05;
+    const double loc = res.mean_loc_at_threshold(t);
+    const double acc = res.accuracy_at_threshold(t);
+    EXPECT_LE(loc, prev_loc) << "threshold " << t;
+    EXPECT_LE(acc, prev_acc) << "threshold " << t;
+    prev_loc = loc;
+    prev_acc = acc;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, ConfigSweep,

@@ -32,7 +32,10 @@
 //   compute pool: each handler scores inline (common::ScopedInline),
 //   which is what makes server digests bit-identical to batch
 //   `split_attack --loo` at any thread count.
-//   --cache-mb bounds the warm-model LRU (0 disables caching);
+//   --cache-mb bounds the one in-memory artifact cache: warm models and
+//   sealed /shard results share its byte budget, keyed by their store
+//   artifact names, with the singleflight inside the cache (0 disables
+//   it, so /shard replays come from the store or are recomputed);
 //   --store-dir enables the persistent model store.
 //   --deadline-s / --max-rss-mb arm the admission budget: under soft
 //   pressure requests are served degraded (and say so); an exceeded
