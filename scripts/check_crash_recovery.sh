@@ -17,7 +17,15 @@
 #      REPRO_FAULT=corrupt_artifact:1 commits damaged bytes for fold 0's
 #      result while the manifest records the true CRC; the resume must
 #      detect the mismatch, recompute that fold, and still reproduce the
-#      reference digests.
+#      reference digests,
+#   6. checks that the single-victim run (no --loo) is fold 0 of the LOO
+#      suite: its digest file is byte-identical to --loo --fold 0's,
+#   7. crashes a single-victim run with REPRO_FAULT=crash_after_artifact:0
+#      (right after fold 0's model commits), checks that fold_0.model is
+#      the only artifact left, and resumes at another thread count: the
+#      resume must load that model (resume.models_loaded = 1) and
+#      reproduce the step-6 digest file byte for byte. This covers resume
+#      from a model, which steps 3-5 (stopping at ordinal 1) do not.
 #
 # No budget flags are used: budget degradation deliberately changes
 # results (and records degradation events), so the determinism proof
@@ -105,4 +113,50 @@ if ! diff -u "$OUT/reference.json" "$OUT/healed.json"; then
   exit 1
 fi
 echo "   corrupt fold result detected and recomputed; digests match"
+
+echo "== crash-recovery: single-victim run is LOO fold 0 =="
+REPRO_SCALE="$SCALE" "$BIN" --demo --threads 4 \
+  --digest-out "$OUT/single.json" >"$OUT/single.log"
+REPRO_SCALE="$SCALE" "$BIN" --demo --loo --fold 0 --threads 4 \
+  --digest-out "$OUT/fold0.json" >"$OUT/fold0.log"
+if ! cmp "$OUT/single.json" "$OUT/fold0.json"; then
+  echo "FAIL: single-victim digests differ from --loo --fold 0"
+  diff -u "$OUT/single.json" "$OUT/fold0.json" || true
+  exit 1
+fi
+echo "   single-victim and --fold 0 digest files are byte-identical"
+
+echo "== crash-recovery: single-victim crash after the model commits =="
+CKPT3="$OUT/ckpt-single"
+set +e
+REPRO_SCALE="$SCALE" REPRO_FAULT=crash_after_artifact:0 \
+  "$BIN" --demo --threads 1 \
+  --checkpoint-dir "$CKPT3" --digest-out "$OUT/single-killed.json" \
+  >"$OUT/single-killed.log" 2>&1
+KILLED_RC=$?
+set -e
+if [ "$KILLED_RC" -ne 137 ]; then
+  echo "FAIL: expected death by SIGKILL (rc 137), got rc $KILLED_RC"
+  cat "$OUT/single-killed.log"
+  exit 1
+fi
+ARTIFACTS=$(cd "$CKPT3" && ls | grep -v '^manifest' | tr '\n' ' ')
+if [ "$ARTIFACTS" != "fold_0.model " ]; then
+  echo "FAIL: expected only fold_0.model after the crash, found: $ARTIFACTS"
+  exit 1
+fi
+REPRO_SCALE="$SCALE" "$BIN" --demo --threads 2 \
+  --checkpoint-dir "$CKPT3" --resume --digest-out "$OUT/single-resumed.json" \
+  --metrics-out "$OUT/single-resumed-metrics.json" >"$OUT/single-resumed.log"
+if ! grep -q '"resume.models_loaded": 1[,}]' \
+    "$OUT/single-resumed-metrics.json"; then
+  echo "FAIL: the resume did not load fold 0's model"
+  exit 1
+fi
+if ! cmp "$OUT/single.json" "$OUT/single-resumed.json"; then
+  echo "FAIL: single-victim digests after resume-from-model differ"
+  diff -u "$OUT/single.json" "$OUT/single-resumed.json" || true
+  exit 1
+fi
+echo "   crashed with only fold_0.model; resumed from it; digests match"
 echo "crash-recovery check passed"

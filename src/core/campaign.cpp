@@ -26,28 +26,13 @@ namespace repro::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using common::hex64;
 
 ShardStatus status_from_string(const std::string& s) {
   if (s == "running") return ShardStatus::kRunning;
   if (s == "ok") return ShardStatus::kOk;
   if (s == "quarantined") return ShardStatus::kQuarantined;
   return ShardStatus::kPending;
-}
-
-/// FNV-1a over the little-endian concatenation of digests — the same
-/// combination split_attack prints for a monolithic LOO run, so shard
-/// merges and single-process references are directly comparable.
-std::uint64_t combine_digests(const std::vector<std::uint64_t>& digests) {
-  common::BinaryWriter w;
-  for (std::uint64_t d : digests) w.u64(d);
-  return common::fnv1a64(w.buffer());
 }
 
 double wall_now_s() {

@@ -9,6 +9,7 @@
 #include <map>
 
 #include "common/binio.hpp"
+#include "common/checkpoint.hpp"
 #include "common/json_scan.hpp"
 #include "common/json_writer.hpp"
 #include "common/parallel.hpp"
@@ -19,13 +20,7 @@ namespace {
 
 using common::JsonObject;
 using common::JsonValue;
-
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using common::hex64;
 
 double wall_now_s() {
   return std::chrono::duration<double>(

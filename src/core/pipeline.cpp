@@ -147,4 +147,34 @@ std::vector<splitmfg::SplitChallenge> DefBatch::take_loaded() {
   return out;
 }
 
+common::StatusOr<ChallengeSuite> load_suite_from_defs(
+    const std::string& victim, const std::vector<std::string>& train,
+    const lefdef::LefContents& lef, const DefLoadOptions& opt,
+    DefBatch& training, common::DiagnosticSink& sink,
+    common::DiagnosticSink& victim_sink) {
+  training = load_challenges_from_defs(train, lef, opt, sink);
+  if (opt.strict && training.num_skipped > 0) {
+    return common::Status::FailedPrecondition(
+        std::to_string(training.num_skipped) +
+        " training design(s) failed to load");
+  }
+  if (training.num_loaded == 0) {
+    return common::Status::FailedPrecondition("no usable training designs");
+  }
+  const auto lib = std::make_shared<const netlist::Library>(lef.lib);
+  common::StatusOr<splitmfg::SplitChallenge> v =
+      load_challenge_from_def(victim, lef, lib, opt, victim_sink);
+  if (!v.ok()) {
+    return common::Status(v.status().code(),
+                          "victim " + victim + ": " + v.status().to_string());
+  }
+  std::vector<splitmfg::SplitChallenge> all;
+  all.reserve(static_cast<std::size_t>(training.num_loaded) + 1);
+  all.push_back(std::move(v).value());
+  for (splitmfg::SplitChallenge& ch : training.take_loaded()) {
+    all.push_back(std::move(ch));
+  }
+  return ChallengeSuite(std::move(all));
+}
+
 }  // namespace repro::core

@@ -1,6 +1,7 @@
 // End-to-end pipeline helpers: synthetic suite -> split challenges, and the
 // hardened file-ingestion path: DEF files -> validated split challenges
-// with per-design failure isolation.
+// with per-design failure isolation -> the leave-one-out suite the tools
+// attack.
 #pragma once
 
 #include <memory>
@@ -81,5 +82,20 @@ common::StatusOr<splitmfg::SplitChallenge> load_challenge_from_def(
 DefBatch load_challenges_from_defs(
     const std::vector<std::string>& paths, const lefdef::LefContents& lef,
     const DefLoadOptions& opt, common::DiagnosticSink& sink);
+
+/// Loads the leave-one-out suite [victim, training...] from DEF files.
+/// Every tool uses this order, so fold 0 is the train -> victim attack and
+/// fold indices (and result digests) line up between split_attack and
+/// split_attack_server. Training designs load through
+/// load_challenges_from_defs into `training` (its loaded challenges are
+/// moved into the suite) with diagnostics in `sink`; the victim's
+/// diagnostics go to `victim_sink`. Fails when a training design fails
+/// under opt.strict, when no training design loads, or when the victim
+/// does not load (a bad victim is always fatal).
+common::StatusOr<ChallengeSuite> load_suite_from_defs(
+    const std::string& victim, const std::vector<std::string>& train,
+    const lefdef::LefContents& lef, const DefLoadOptions& opt,
+    DefBatch& training, common::DiagnosticSink& sink,
+    common::DiagnosticSink& victim_sink);
 
 }  // namespace repro::core

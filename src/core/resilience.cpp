@@ -107,6 +107,12 @@ std::uint64_t result_digest(const AttackResult& res) {
   return h;
 }
 
+std::uint64_t combine_digests(std::span<const std::uint64_t> digests) {
+  BinaryWriter w;
+  for (std::uint64_t d : digests) w.u64(d);
+  return fnv_over(w.buffer());
+}
+
 std::uint64_t attack_run_key(
     std::span<const splitmfg::SplitChallenge> challenges,
     const AttackConfig& config) {
@@ -126,8 +132,6 @@ std::string save_result(const AttackResult& res) {
   w.str(res.design());
   w.i32(res.split_layer());
   w.i32(res.hist_bins());
-  w.f64(res.train_seconds);
-  w.f64(res.test_seconds);
   w.u64(res.per_vpin().size());
   for (const VpinResult& r : res.per_vpin()) {
     w.u8(r.tested ? 1 : 0);
@@ -151,17 +155,25 @@ StatusOr<AttackResult> load_result(const std::string& raw) {
   StatusOr<std::string> payload =
       common::open_artifact(raw, kResultMagic, kResultVersion);
   if (!payload.ok()) return payload.status();
+  // open_artifact accepts every older version too; an older layout (the
+  // timings of version 1) is not decoded, so the fold is recomputed.
+  BinaryReader envelope(raw);
+  std::uint32_t magic = 0, version = 0;
+  envelope.u32(magic);
+  envelope.u32(version);
+  if (version != kResultVersion) {
+    return Status::DataLoss("result artifact: format version " +
+                            std::to_string(version) + ", expected " +
+                            std::to_string(kResultVersion));
+  }
 
   BinaryReader r(*payload);
   std::string design;
   std::int32_t split_layer = 0, hist_bins = 0;
-  double train_seconds = 0, test_seconds = 0;
   std::uint64_t num_vpins = 0;
   r.str(design);
   r.i32(split_layer);
   r.i32(hist_bins);
-  r.f64(train_seconds);
-  r.f64(test_seconds);
   r.u64(num_vpins);
   if (!r.ok() || hist_bins <= 0 || num_vpins > r.remaining()) {
     return Status::DataLoss("result artifact: malformed header");
@@ -202,8 +214,6 @@ StatusOr<AttackResult> load_result(const std::string& raw) {
   if (r.remaining() != 0) {
     return Status::DataLoss("result artifact: trailing bytes after payload");
   }
-  res.train_seconds = train_seconds;
-  res.test_seconds = test_seconds;
   // finalize() derives the aggregate curves from per_vpin alone, so the
   // reloaded result answers every threshold query exactly as the
   // original did.

@@ -12,7 +12,11 @@
 //     result (per-target rankings, histograms, stats) used by the
 //     thread-invariance and kill-and-resume differential tests. Timing
 //     fields are deliberately excluded: they are the only part of an
-//     AttackResult that is not a pure function of the inputs.
+//     AttackResult that is not a pure function of the inputs, which is
+//     also why the sealed result artifact does not record them.
+//   * combine_digests: the one fingerprint over a run's per-fold digests,
+//     shared by split_attack's LOO output and the campaign merge so the
+//     two stay comparable.
 //   * attack_run_key: fingerprint of (config, inputs) scoping a
 //     checkpoint directory. Artifacts recorded under a different key
 //     are some other computation's and must not be resumed from.
@@ -52,7 +56,9 @@ struct RunControl {
 
 /// Artifact identities ("CRES" results, "CMDL" models).
 inline constexpr std::uint32_t kResultMagic = 0x43524553u;
-inline constexpr std::uint32_t kResultVersion = 1;
+/// Result version 2 dropped the wall-clock timings from the payload, so a
+/// recomputed fold seals the same bytes; load_result refuses version 1.
+inline constexpr std::uint32_t kResultVersion = 2;
 inline constexpr std::uint32_t kModelMagic = 0x434D444Cu;
 inline constexpr std::uint32_t kModelVersion = 1;
 
@@ -62,6 +68,11 @@ inline constexpr std::uint32_t kModelVersion = 1;
 /// attack output.
 std::uint64_t result_digest(const AttackResult& res);
 
+/// Combined fingerprint over per-design digests: FNV-1a of their
+/// little-endian concatenation, so the order of designs matters (as it
+/// does for the results themselves).
+std::uint64_t combine_digests(std::span<const std::uint64_t> digests);
+
 /// Fingerprint of the computation a checkpoint belongs to: every
 /// result-affecting AttackConfig field plus, per challenge, the design
 /// name, split layer, and v-pin count.
@@ -69,10 +80,14 @@ std::uint64_t attack_run_key(
     std::span<const splitmfg::SplitChallenge> challenges,
     const AttackConfig& config);
 
-/// AttackResult <-> sealed artifact. load_result returns kDataLoss on
-/// envelope or structural corruption; a loaded result has finalize()
-/// already applied (finalize is a pure function of the per-target data,
-/// so recomputing it reproduces the saved aggregates exactly).
+/// AttackResult <-> sealed artifact. The payload is a pure function of
+/// the result's observable data (no timings: a loaded result's
+/// train_seconds / test_seconds are 0), so recomputing a fold seals
+/// byte-identical bytes. load_result returns kDataLoss on envelope or
+/// structural corruption and on any version but kResultVersion; a loaded
+/// result has finalize() already applied (finalize is a pure function of
+/// the per-target data, so recomputing it reproduces the saved aggregates
+/// exactly).
 std::string save_result(const AttackResult& res);
 common::StatusOr<AttackResult> load_result(const std::string& raw);
 

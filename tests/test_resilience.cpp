@@ -198,6 +198,40 @@ TEST_F(ResilienceAttack, ResultRoundTripsBitExactWithEqualDigest) {
   }
 }
 
+TEST(ResilienceResult, TimingsAreNotSealedAndVersionOneIsRefused) {
+  core::AttackResult res("d", 8, 4);
+  res.mutable_per_vpin().resize(2);
+  for (core::VpinResult& v : res.mutable_per_vpin()) v.hist.assign(4, 1);
+  res.train_seconds = 1.5;
+  res.test_seconds = 2.5;
+  const std::string raw = core::save_result(res);
+  core::AttackResult retimed = res;
+  retimed.train_seconds = 7;
+  retimed.test_seconds = 8;
+  EXPECT_EQ(core::save_result(retimed), raw);
+  auto back = core::load_result(raw);
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  EXPECT_EQ(back->train_seconds, 0.0);
+  EXPECT_EQ(back->test_seconds, 0.0);
+
+  // The same result in the version-1 layout, which sealed the two
+  // timings after hist_bins: well-formed and CRC-clean, but refused, so
+  // a checkpoint or store entry from before the change is recomputed.
+  common::BinaryWriter w;
+  w.str("d");
+  w.i32(8);
+  w.i32(4);
+  w.f64(1.5);
+  w.f64(2.5);
+  w.u64(0);
+  const std::string v1 = common::seal_artifact(core::kResultMagic, 1, w.take());
+  ASSERT_TRUE(common::open_artifact(v1, core::kResultMagic,
+                                    core::kResultVersion).ok());
+  const auto old = core::load_result(v1);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), common::StatusCode::kDataLoss);
+}
+
 TEST_F(ResilienceAttack, RunKeySeparatesConfigsAndInputs) {
   const std::uint64_t base = core::attack_run_key(challenges_, cfg_);
   EXPECT_EQ(base, core::attack_run_key(challenges_, cfg_)) << "must be stable";

@@ -15,12 +15,11 @@
 //                [--max-rss-mb N] [--digest-out JSON] [--fold K]
 //
 // Crash safety and budgets: --checkpoint-dir records completed work
-// (per-fold trained models and fold results in --loo mode, the victim
-// model/result otherwise) as checksummed artifacts under DIR; --resume
-// loads whatever validates instead of recomputing it (without --resume
-// the directory is cleared first). Resumed runs produce bit-identical
-// results to uninterrupted ones at any thread count
-// (scripts/check_crash_recovery.sh proves this with a SIGKILL).
+// (per-fold trained models and fold results) as checksummed artifacts
+// under DIR; --resume loads whatever validates instead of recomputing it
+// (without --resume the directory is cleared first). Resumed runs
+// produce bit-identical results to uninterrupted ones at any thread
+// count (scripts/check_crash_recovery.sh proves this with a SIGKILL).
 // --deadline-s / --max-rss-mb arm a wall-clock / peak-RSS budget:
 // under soft pressure the run sheds accuracy down a recorded
 // degradation ladder (fewer trees, then sampled targets and a smaller
@@ -49,9 +48,12 @@
 // The victim DEF must contain the full routing if ground-truth scoring is
 // wanted; a FEOL-only victim still produces candidate lists (unscored).
 // --demo ignores the file flags and runs on a freshly generated suite.
-// --loo evaluates with leave-one-out cross validation over every design
-// (victim + training set) instead of the single train -> victim split,
-// printing one row per held-out design.
+// Every mode attacks the leave-one-out suite [victim, training...]: the
+// default train -> victim run is its fold 0, so it runs, checkpoints
+// (fold_0.model / fold_0.result under the LOO run key) and digests
+// exactly as `--loo --fold 0` does. --loo evaluates with leave-one-out
+// cross validation over every design instead, printing one row per
+// held-out design.
 //
 // Ingestion is fault-isolated per design: a corrupt or invalid training DEF
 // is reported (with structured diagnostics) and skipped, and the attack
@@ -263,22 +265,6 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// Combined fingerprint over per-design digests: FNV-1a of their
-/// little-endian concatenation, so the order of designs matters (as it
-/// does for the results themselves).
-std::uint64_t combine_digests(const std::vector<std::uint64_t>& digests) {
-  common::BinaryWriter w;
-  for (std::uint64_t d : digests) w.u64(d);
-  return common::fnv1a64(w.buffer());
-}
-
 /// Writes {"complete": ..., "digest": ..., "designs": [...]} for the
 /// kill-and-resume differential check. Incomplete runs carry null per
 /// missing design and no combined digest.
@@ -291,7 +277,7 @@ bool write_digest_file(const std::string& path, bool complete,
     common::JsonObject row;
     row.field("design", names[i]);
     if (ds[i]) {
-      row.field("digest", hex64(*ds[i]));
+      row.field("digest", common::hex64(*ds[i]));
     } else {
       row.field_raw("digest", "null");
     }
@@ -303,7 +289,7 @@ bool write_digest_file(const std::string& path, bool complete,
     std::vector<std::uint64_t> all;
     all.reserve(ds.size());
     for (const auto& d : ds) all.push_back(*d);
-    obj.field("digest", hex64(combine_digests(all)));
+    obj.field("digest", common::hex64(core::combine_digests(all)));
   }
   obj.field_raw("designs", common::json_array(rows));
   return common::write_json_file(path, obj.str());
@@ -453,8 +439,9 @@ int run(const Args& args) {
     }
     heartbeat = std::move(*hb);
   }
-  std::vector<splitmfg::SplitChallenge> training;
-  splitmfg::SplitChallenge victim;
+  // Every mode attacks the leave-one-out suite [victim, training...]:
+  // the single train -> victim run is its fold 0.
+  std::optional<core::ChallengeSuite> suite;
   int num_train_files = 0;
   int num_skipped = 0;
 
@@ -469,14 +456,9 @@ int run(const Args& args) {
     }
     std::fprintf(stderr, "[demo] generating the built-in suite (scale "
                  "%.2f)...\n", scale);
-    const auto designs = synth::generate_benchmark_suite(scale);
-    for (std::size_t i = 1; i < designs.size(); ++i) {
-      training.push_back(splitmfg::make_challenge(
-          *designs[i].netlist, designs[i].routes, args.split));
-    }
-    victim = splitmfg::make_challenge(*designs[0].netlist,
-                                      designs[0].routes, args.split);
-    num_train_files = static_cast<int>(training.size());
+    suite.emplace(core::make_suite(synth::generate_benchmark_suite(scale),
+                                   args.split));
+    num_train_files = static_cast<int>(suite->size()) - 1;
   } else {
     std::ifstream lef_in(args.lef);
     if (!lef_in) {
@@ -506,13 +488,17 @@ int run(const Args& args) {
     load_opt.validate = args.validate;
     load_opt.repair = args.repair;
 
-    common::DiagnosticSink sink;
-    core::DefBatch batch =
-        core::load_challenges_from_defs(args.train, *lef, load_opt, sink);
+    core::DefBatch batch;
+    common::DiagnosticSink sink, victim_sink;
+    auto loaded = core::load_suite_from_defs(args.victim, args.train, *lef,
+                                             load_opt, batch, sink,
+                                             victim_sink);
     num_train_files = static_cast<int>(args.train.size());
     num_skipped = batch.num_skipped;
+    // The suite took the loaded challenges (clearing `loaded`); a
+    // skipped design is the one with a failing Status.
     for (const core::DefLoadOutcome& d : batch.designs) {
-      if (!d.loaded) {
+      if (!d.status.ok()) {
         std::fprintf(stderr, "warning: skipping training design %s: %s\n",
                      d.path.c_str(), d.status.to_string().c_str());
       } else if (d.validation.repaired > 0 || d.validation.ignored > 0) {
@@ -521,37 +507,18 @@ int run(const Args& args) {
       }
     }
     if (num_skipped > 0) print_diagnostics(sink);
-    if (args.strict && num_skipped > 0) {
-      std::fprintf(stderr,
-                   "error: --strict: %d training design(s) failed to load\n",
-                   num_skipped);
-      return 1;
-    }
-    training = batch.take_loaded();
-    if (training.empty()) {
-      std::fprintf(stderr, "error: no usable training designs\n");
-      return 1;
-    }
-
-    common::DiagnosticSink victim_sink;
-    const auto lib = std::make_shared<const netlist::Library>(lef->lib);
-    common::StatusOr<splitmfg::SplitChallenge> v =
-        core::load_challenge_from_def(args.victim, *lef, lib, load_opt,
-                                      victim_sink);
-    if (!v.ok()) {
-      std::fprintf(stderr, "error: victim %s: %s\n", args.victim.c_str(),
-                   v.status().to_string().c_str());
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "error: %s\n", loaded.status().message().c_str());
       print_diagnostics(victim_sink);
       return 1;
     }
-    victim = std::move(v).value();
+    suite.emplace(std::move(loaded).value());
     common::obs::record_diagnostics("ingest.victim_diag", victim_sink);
   }
   ingest_span.end();
 
-  std::vector<const splitmfg::SplitChallenge*> train_ptrs;
-  for (const auto& ch : training) train_ptrs.push_back(&ch);
-
+  const splitmfg::SplitChallenge& victim = suite->challenge(0);
+  const int num_training = static_cast<int>(suite->size()) - 1;
   const core::AttackConfig cfg = core::config_from_name(args.config);
   const int num_threads = common::global_pool().num_threads();
 
@@ -574,106 +541,40 @@ int run(const Args& args) {
   }
 
   // Opens (or clears, without --resume) the checkpoint directory, scoped
-  // to this computation's run key. A failure to open is fatal — silently
-  // running uncheckpointed would defeat the point of the flag.
+  // to this suite's run key — one key for every mode, so a single-victim
+  // checkpoint is fold 0 of the LOO one. A failure to open is fatal:
+  // silently running uncheckpointed would defeat the point of the flag.
   common::DiagnosticSink ckpt_sink(args.checkpoint_dir);
   std::optional<common::CheckpointManager> ckpt;
-  const auto open_checkpoint = [&](std::uint64_t run_key) -> bool {
-    if (args.checkpoint_dir.empty()) return true;
+  if (!args.checkpoint_dir.empty()) {
+    const std::uint64_t run_key =
+        core::attack_run_key(suite->challenges(), cfg) ^
+        common::fnv1a64("loo");
     auto c = common::CheckpointManager::open(args.checkpoint_dir, run_key,
                                              ckpt_sink);
     if (!c.ok()) {
       std::fprintf(stderr, "error: checkpoint dir %s: %s\n",
                    args.checkpoint_dir.c_str(),
                    c.status().to_string().c_str());
-      return false;
+      return 1;
     }
     ckpt = std::move(*c);
     if (!args.resume) {
       for (const std::string& name : ckpt->names()) (void)ckpt->remove(name);
     }
-    rep.set("run_key", hex64(run_key));
-    return true;
-  };
+    rep.set("run_key", common::hex64(run_key));
+  }
+  core::RunControl rc;
+  rc.checkpoint = ckpt ? &*ckpt : nullptr;
+  rc.cancel = &cancel;
+  rc.budget = budget.unlimited() ? nullptr : &budget;
+  rc.sink = &ckpt_sink;
 
-  if (args.loo) {
-    std::vector<splitmfg::SplitChallenge> all;
-    all.reserve(training.size() + 1);
-    all.push_back(std::move(victim));
-    for (splitmfg::SplitChallenge& ch : training) all.push_back(std::move(ch));
-    const core::ChallengeSuite suite(std::move(all));
-    if (!open_checkpoint(core::attack_run_key(suite.challenges(), cfg) ^
-                         common::fnv1a64("loo"))) {
-      return 1;
-    }
-    core::RunControl rc;
-    rc.checkpoint = ckpt ? &*ckpt : nullptr;
-    rc.cancel = &cancel;
-    rc.budget = budget.unlimited() ? nullptr : &budget;
-    rc.sink = &ckpt_sink;
-
-    if (args.fold >= 0) {
-      // Shard-worker mode: this process owns exactly one fold (the
-      // campaign supervisor owns the rest). Same run key and artifact
-      // names as a monolithic LOO run, so the shard checkpoint is
-      // interchangeable with a slice of the full one.
-      if (args.fold >= static_cast<std::int64_t>(suite.size())) {
-        std::fprintf(stderr, "error: --fold %lld outside the suite [0, %zu)\n",
-                     static_cast<long long>(args.fold), suite.size());
-        return 2;
-      }
-      const splitmfg::SplitChallenge& ch =
-          suite.challenge(static_cast<std::size_t>(args.fold));
-      std::fprintf(stderr, "LOO fold %lld of %zu: %s (%d threads)...\n",
-                   static_cast<long long>(args.fold), suite.size(),
-                   ch.design_name.c_str(), num_threads);
-      const auto res = suite.run_fold_checkpointed(cfg, rc, args.fold);
-      common::obs::set_phase("report");
-      print_diagnostics(ckpt_sink);
-      common::obs::record_diagnostics("checkpoint.diag", ckpt_sink);
-      const bool interrupted = !res;
-      std::vector<std::optional<std::uint64_t>> ds;
-      if (res) {
-        ds.emplace_back(core::result_digest(*res));
-        std::printf("%-16s %8d %12.1f\n", ch.design_name.c_str(),
-                    ch.num_vpins(),
-                    res->mean_loc_at_threshold(args.threshold));
-        std::printf("result digest: %s\n", hex64(*ds.back()).c_str());
-      } else {
-        ds.emplace_back();
-        std::fprintf(
-            stderr, "interrupted (%s): fold %lld incomplete%s\n",
-            cancel.reason().empty() ? "signal" : cancel.reason().c_str(),
-            static_cast<long long>(args.fold),
-            ckpt ? "; checkpoint saved, rerun with --resume" : "");
-      }
-      const auto degradations = common::obs::degradation_events();
-      rep.set("fold", static_cast<std::int64_t>(args.fold))
-          .set("design", ch.design_name)
-          .set("threshold", args.threshold)
-          .set("interrupted", interrupted)
-          .set("degraded", !degradations.empty());
-      if (args.obs_enabled() && !emit_obs_outputs(args, rep)) return 1;
-      if (!args.digest_out.empty() &&
-          !write_digest_file(args.digest_out, !interrupted, {ch.design_name},
-                             ds)) {
-        return 1;
-      }
-      // The heartbeat's "final" record (written when `heartbeat` is
-      // destroyed on return) carries this phase — the supervisor's view
-      // of how the attempt ended.
-      common::obs::set_phase(interrupted ? "interrupted" : "done");
-      if (interrupted) return 3;
-      // Worker protocol: a complete-but-degraded fold exits 4 so the
-      // supervisor can account for shed accuracy without reparsing
-      // reports. The monolithic paths keep plain 0 for compatibility.
-      return degradations.empty() ? 0 : 4;
-    }
-
+  if (args.loo && args.fold < 0) {
     std::fprintf(stderr,
                  "LOO cross-validation over %zu designs (%d threads)...\n",
-                 suite.size(), num_threads);
-    const auto folds = suite.run_all_checkpointed(cfg, rc);
+                 suite->size(), num_threads);
+    const auto folds = suite->run_all_checkpointed(cfg, rc);
     print_diagnostics(ckpt_sink);
     // Corrupt-artifact / stale-checkpoint warnings belong in the run
     // report next to the degradation events: both mark runs whose path
@@ -687,8 +588,8 @@ int run(const Args& args) {
     int completed = 0;
     std::vector<std::string> names;
     std::vector<std::optional<std::uint64_t>> digests;
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-      const splitmfg::SplitChallenge& ch = suite.challenge(i);
+    for (std::size_t i = 0; i < suite->size(); ++i) {
+      const splitmfg::SplitChallenge& ch = suite->challenge(i);
       names.push_back(ch.design_name);
       if (!folds[i]) {
         digests.emplace_back();
@@ -711,7 +612,7 @@ int run(const Args& args) {
                     ch.num_vpins(), loc, "n/a");
       }
     }
-    const bool complete = completed == static_cast<int>(suite.size());
+    const bool complete = completed == static_cast<int>(suite->size());
     const bool interrupted = cancel.cancelled();
     const double mean_acc = acc_n > 0 ? acc_sum / acc_n : 0;
     if (acc_n > 0) {
@@ -721,15 +622,16 @@ int run(const Args& args) {
     if (complete) {
       std::vector<std::uint64_t> ds;
       for (const auto& d : digests) ds.push_back(*d);
-      std::printf("result digest: %s\n", hex64(combine_digests(ds)).c_str());
+      std::printf("result digest: %s\n",
+                  common::hex64(core::combine_digests(ds)).c_str());
     } else {
       std::fprintf(stderr,
                    "interrupted (%s): %d of %zu folds complete%s\n",
                    cancel.reason().empty() ? "signal" : cancel.reason().c_str(),
-                   completed, suite.size(),
+                   completed, suite->size(),
                    ckpt ? "; checkpoint saved, rerun with --resume" : "");
     }
-    rep.set("num_designs", static_cast<int>(suite.size()))
+    rep.set("num_designs", static_cast<int>(suite->size()))
         .set("folds_completed", completed)
         .set("threshold", args.threshold)
         .set("interrupted", interrupted);
@@ -749,176 +651,140 @@ int run(const Args& args) {
     return interrupted || !complete ? 3 : 0;
   }
 
-  // Single train -> victim split, with the same resilience path as LOO:
-  // "victim.model" is checkpointed after training, "victim.result" after
-  // scoring, so a killed run resumes past whatever phase had finished.
-  {
-    std::vector<splitmfg::SplitChallenge> key_set;
-    key_set.push_back(victim);
-    for (const auto& ch : training) key_set.push_back(ch);
-    if (!open_checkpoint(core::attack_run_key(key_set, cfg) ^
-                         common::fnv1a64("single"))) {
-      return 1;
-    }
+  // One fold: --fold K is the shard-worker mode (this process owns
+  // exactly fold K, the campaign supervisor owns the rest); without
+  // --loo it is fold 0, the train -> victim attack. Same run key and
+  // artifact names as a monolithic LOO run, so either checkpoint is
+  // interchangeable with a slice of the full one.
+  const std::int64_t fold = args.loo ? args.fold : 0;
+  if (fold >= static_cast<std::int64_t>(suite->size())) {
+    std::fprintf(stderr, "error: --fold %lld outside the suite [0, %zu)\n",
+                 static_cast<long long>(fold), suite->size());
+    return 2;
   }
-  const char* kModelName = "victim.model";
-  const char* kResultName = "victim.result";
-
-  // Budget boundary before the expensive phases: degrade or stop.
+  const splitmfg::SplitChallenge& ch =
+      suite->challenge(static_cast<std::size_t>(fold));
   core::AttackConfig run_cfg = cfg;
-  {
-    const common::BudgetPressure pressure =
-        budget.unlimited() ? common::BudgetPressure::kNone : budget.pressure();
+  if (args.loo) {
+    std::fprintf(stderr, "LOO fold %lld of %zu: %s (%d threads)...\n",
+                 static_cast<long long>(fold), suite->size(),
+                 ch.design_name.c_str(), num_threads);
+  } else {
+    // The budget boundary runs here instead of inside the fold (which
+    // then sees no budget), so --pa validates under the exact config
+    // the fold is scored with.
+    const common::BudgetPressure pressure = rc.pressure();
     if (pressure == common::BudgetPressure::kExceeded) {
       cancel.request_cancel("budget exhausted");
     } else {
-      core::apply_degradation(run_cfg, pressure);
+      core::apply_degradation(run_cfg, pressure, fold);
     }
+    rc.budget = nullptr;
+    std::fprintf(stderr,
+                 "training %s on %d of %d designs (%d skipped, %d threads)"
+                 "...\n",
+                 run_cfg.name.c_str(), num_training, num_train_files,
+                 num_skipped, num_threads);
   }
-
-  std::optional<core::TrainedModel> model;
-  std::optional<core::AttackResult> res;
-  if (ckpt && ckpt->has(kResultName)) {
-    auto raw = ckpt->read(kResultName, ckpt_sink);
-    if (raw.ok()) {
-      auto r = core::load_result(*raw);
-      if (r.ok()) {
-        std::fprintf(stderr, "resuming: result loaded from checkpoint\n");
-        res = std::move(*r);
-      } else {
-        ckpt_sink.warning("checkpoint.corrupt_artifact", 0,
-                          std::string(kResultName) + ": " +
-                              r.status().to_string() + "; recomputing");
-        (void)ckpt->remove(kResultName);
-      }
-    }
-  }
-  if (!res) {
-    if (ckpt && ckpt->has(kModelName)) {
-      auto raw = ckpt->read(kModelName, ckpt_sink);
-      if (raw.ok()) {
-        auto m = core::load_model(*raw);
-        if (m.ok()) {
-          std::fprintf(stderr, "resuming: model loaded from checkpoint\n");
-          model = std::move(*m);
-        } else {
-          ckpt_sink.warning("checkpoint.corrupt_artifact", 0,
-                            std::string(kModelName) + ": " +
-                                m.status().to_string() + "; retraining");
-          (void)ckpt->remove(kModelName);
-        }
-      }
-    }
-    if (!model && !cancel.cancelled()) {
-      std::fprintf(stderr,
-                   "training %s on %zu of %d designs (%d skipped, %d threads)"
-                   "...\n",
-                   run_cfg.name.c_str(), training.size(), num_train_files,
-                   num_skipped, num_threads);
-      model = core::AttackEngine::train(train_ptrs, run_cfg);
-      if (ckpt && !cancel.cancelled()) {
-        (void)ckpt->write(kModelName, core::save_model(*model));
-      }
-    }
-    if (model && !cancel.cancelled()) {
-      std::fprintf(stderr, "testing %s (%d v-pins)...\n",
-                   victim.design_name.c_str(), victim.num_vpins());
-      core::AttackResult scored =
-          core::AttackEngine::test(*model, victim, &cancel);
-      if (!scored.interrupted) {
-        if (ckpt) {
-          (void)ckpt->write(kResultName, core::save_result(scored));
-          (void)ckpt->remove(kModelName);
-        }
-        res = std::move(scored);
-      }
-    }
-  }
+  const auto res = suite->run_fold_checkpointed(run_cfg, rc, fold);
+  common::obs::set_phase("report");
   print_diagnostics(ckpt_sink);
   common::obs::record_diagnostics("checkpoint.diag", ckpt_sink);
-
   const bool interrupted = !res;
-  if (res) {
-    std::printf("design:        %s\n", victim.design_name.c_str());
-    std::printf("split layer:   %d\n", victim.split_layer);
-    std::printf("v-pins:        %d\n", victim.num_vpins());
-    std::printf("threads:       %d\n", num_threads);
-    std::printf("train designs: %zu of %d (%d skipped)\n", training.size(),
-                num_train_files, num_skipped);
-    if (model) {
-      std::printf("train samples: %d\n", model->num_train_samples);
-      std::printf("phase times:   sample %.2fs, fit %.2fs, score %.2fs "
-                  "(total %.2fs)\n",
-                  model->sample_seconds, model->fit_seconds, res->test_seconds,
-                  model->train_seconds + res->test_seconds);
-    }
-    std::printf("mean |LoC| @ t=%.2f: %.1f\n", args.threshold,
-                res->mean_loc_at_threshold(args.threshold));
-    if (victim.num_matching_pairs() > 0) {
-      std::printf("accuracy @ t=%.2f:   %.2f%%\n", args.threshold,
-                  100 * res->accuracy_at_threshold(args.threshold));
-      if (args.pa) {
-        const core::PAOutcome pa =
-            core::validated_proximity_attack(*res, victim, train_ptrs, run_cfg);
-        std::printf("PA success:          %.2f%% (fraction %.4f)\n",
-                    100 * pa.success_rate, pa.best_fraction);
-      }
-    } else {
-      std::printf("victim has no ground truth (FEOL-only view): "
-                  "candidate lists only\n");
-    }
-    std::printf("result digest: %s\n",
-                hex64(core::result_digest(*res)).c_str());
-    if (!args.out.empty()) {
-      if (!write_loc_csv(args.out, victim, *res, args.threshold)) {
-        return 1;
-      }
-      std::printf("LoC CSV written to %s\n", args.out.c_str());
-    }
-  } else {
-    std::fprintf(stderr, "interrupted (%s) before scoring completed%s\n",
+  const std::optional<std::uint64_t> digest =
+      res ? std::optional<std::uint64_t>(core::result_digest(*res))
+          : std::nullopt;
+  if (interrupted) {
+    std::fprintf(stderr, "interrupted (%s): fold %lld incomplete%s\n",
                  cancel.reason().empty() ? "signal" : cancel.reason().c_str(),
+                 static_cast<long long>(fold),
                  ckpt ? "; checkpoint saved, rerun with --resume" : "");
   }
-
-  rep.set("design", victim.design_name)
-      .set("train_designs", static_cast<int>(training.size()))
-      .set("num_vpins", victim.num_vpins())
-      .set("threshold", args.threshold)
-      .set("interrupted", interrupted);
-  if (interrupted && !cancel.reason().empty()) {
-    rep.set("cancel_reason", cancel.reason());
-  }
-  if (model) rep.set("train_samples", model->num_train_samples);
-  if (res) rep.set("mean_loc", res->mean_loc_at_threshold(args.threshold));
-  if (res && victim.num_matching_pairs() > 0) {
-    rep.set("accuracy", res->accuracy_at_threshold(args.threshold));
-  }
-  if (args.obs_enabled()) {
-    // Result gauges are set here, at a serial point, so the registry
-    // snapshot carries the headline numbers too.
-    common::obs::gauge("attack.threshold").set(args.threshold);
+  const auto degradations = common::obs::degradation_events();
+  if (args.loo) {
     if (res) {
-      common::obs::gauge("attack.mean_loc")
-          .set(res->mean_loc_at_threshold(args.threshold));
-      if (victim.num_matching_pairs() > 0) {
-        common::obs::gauge("attack.accuracy")
-            .set(res->accuracy_at_threshold(args.threshold));
+      std::printf("%-16s %8d %12.1f\n", ch.design_name.c_str(),
+                  ch.num_vpins(), res->mean_loc_at_threshold(args.threshold));
+      std::printf("result digest: %s\n", common::hex64(*digest).c_str());
+    }
+    rep.set("fold", fold)
+        .set("design", ch.design_name)
+        .set("threshold", args.threshold)
+        .set("interrupted", interrupted)
+        .set("degraded", !degradations.empty());
+  } else {
+    if (res) {
+      std::printf("design:        %s\n", ch.design_name.c_str());
+      std::printf("split layer:   %d\n", ch.split_layer);
+      std::printf("v-pins:        %d\n", ch.num_vpins());
+      std::printf("threads:       %d\n", num_threads);
+      std::printf("train designs: %d of %d (%d skipped)\n", num_training,
+                  num_train_files, num_skipped);
+      std::printf("phase times:   train %.2fs, score %.2fs (total %.2fs)\n",
+                  res->train_seconds, res->test_seconds,
+                  res->train_seconds + res->test_seconds);
+      std::printf("mean |LoC| @ t=%.2f: %.1f\n", args.threshold,
+                  res->mean_loc_at_threshold(args.threshold));
+      if (ch.num_matching_pairs() > 0) {
+        std::printf("accuracy @ t=%.2f:   %.2f%%\n", args.threshold,
+                    100 * res->accuracy_at_threshold(args.threshold));
+        if (args.pa) {
+          const core::PAOutcome pa = core::validated_proximity_attack(
+              *res, ch, suite->training_for(0), run_cfg);
+          std::printf("PA success:          %.2f%% (fraction %.4f)\n",
+                      100 * pa.success_rate, pa.best_fraction);
+        }
+      } else {
+        std::printf("victim has no ground truth (FEOL-only view): "
+                    "candidate lists only\n");
+      }
+      std::printf("result digest: %s\n", common::hex64(*digest).c_str());
+      if (!args.out.empty()) {
+        if (!write_loc_csv(args.out, ch, *res, args.threshold)) return 1;
+        std::printf("LoC CSV written to %s\n", args.out.c_str());
       }
     }
-    if (!emit_obs_outputs(args, rep)) return 1;
-  }
-  if (!args.digest_out.empty()) {
-    std::vector<std::optional<std::uint64_t>> ds;
-    ds.emplace_back(res ? std::optional<std::uint64_t>(
-                              core::result_digest(*res))
-                        : std::nullopt);
-    if (!write_digest_file(args.digest_out, !interrupted,
-                           {victim.design_name}, ds)) {
-      return 1;
+    rep.set("design", ch.design_name)
+        .set("train_designs", num_training)
+        .set("num_vpins", ch.num_vpins())
+        .set("threshold", args.threshold)
+        .set("interrupted", interrupted);
+    if (interrupted && !cancel.reason().empty()) {
+      rep.set("cancel_reason", cancel.reason());
+    }
+    if (res) rep.set("mean_loc", res->mean_loc_at_threshold(args.threshold));
+    if (res && ch.num_matching_pairs() > 0) {
+      rep.set("accuracy", res->accuracy_at_threshold(args.threshold));
+    }
+    if (args.obs_enabled()) {
+      // Result gauges are set here, at a serial point, so the registry
+      // snapshot carries the headline numbers too.
+      common::obs::gauge("attack.threshold").set(args.threshold);
+      if (res) {
+        common::obs::gauge("attack.mean_loc")
+            .set(res->mean_loc_at_threshold(args.threshold));
+        if (ch.num_matching_pairs() > 0) {
+          common::obs::gauge("attack.accuracy")
+              .set(res->accuracy_at_threshold(args.threshold));
+        }
+      }
     }
   }
-  return interrupted ? 3 : 0;
+  if (args.obs_enabled() && !emit_obs_outputs(args, rep)) return 1;
+  if (!args.digest_out.empty() &&
+      !write_digest_file(args.digest_out, !interrupted, {ch.design_name},
+                         {digest})) {
+    return 1;
+  }
+  // The heartbeat's "final" record (written when `heartbeat` is
+  // destroyed on return) carries this phase — the supervisor's view of
+  // how the attempt ended.
+  common::obs::set_phase(interrupted ? "interrupted" : "done");
+  if (interrupted) return 3;
+  // Worker protocol: a complete-but-degraded fold exits 4 so the
+  // supervisor can account for shed accuracy without reparsing reports.
+  // The monolithic paths keep plain 0 for compatibility.
+  return args.loo && !degradations.empty() ? 4 : 0;
 }
 
 }  // namespace

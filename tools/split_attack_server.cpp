@@ -85,7 +85,6 @@
 #include "core/pipeline.hpp"
 #include "core/resilience.hpp"
 #include "lefdef/lefdef.hpp"
-#include "splitmfg/split.hpp"
 #include "synth/synth.hpp"
 
 namespace {
@@ -240,12 +239,7 @@ bool build_suites(const Args& args,
                  "%.2f)...\n", scale);
     const auto designs = synth::generate_benchmark_suite(scale);
     for (const int split : args.splits) {
-      std::vector<splitmfg::SplitChallenge> all;
-      all.reserve(designs.size());
-      for (const auto& d : designs) {
-        all.push_back(splitmfg::make_challenge(*d.netlist, d.routes, split));
-      }
-      suites->emplace(split, core::ChallengeSuite(std::move(all)));
+      suites->emplace(split, core::make_suite(designs, split));
     }
     return true;
   }
@@ -264,7 +258,6 @@ bool build_suites(const Args& args,
     print_diagnostics(lef_sink);
     return false;
   }
-  const auto lib = std::make_shared<const netlist::Library>(lef->lib);
   for (const int split : args.splits) {
     if (split > lef->tech.num_via_layers()) {
       std::fprintf(stderr,
@@ -280,33 +273,18 @@ bool build_suites(const Args& args,
     // batch CLI over the same files) — fail fast instead.
     load_opt.strict = true;
 
-    common::DiagnosticSink sink;
-    core::DefBatch batch =
-        core::load_challenges_from_defs(args.train, *lef, load_opt, sink);
-    if (batch.num_skipped > 0) {
-      print_diagnostics(sink);
-      std::fprintf(stderr,
-                   "error: %d training design(s) failed to load\n",
-                   batch.num_skipped);
-      return false;
-    }
-    common::DiagnosticSink victim_sink;
-    common::StatusOr<splitmfg::SplitChallenge> v =
-        core::load_challenge_from_def(args.victim, *lef, lib, load_opt,
-                                      victim_sink);
-    if (!v.ok()) {
-      std::fprintf(stderr, "error: victim %s: %s\n", args.victim.c_str(),
-                   v.status().to_string().c_str());
+    core::DefBatch batch;
+    common::DiagnosticSink sink, victim_sink;
+    auto suite = core::load_suite_from_defs(args.victim, args.train, *lef,
+                                            load_opt, batch, sink,
+                                            victim_sink);
+    if (batch.num_skipped > 0) print_diagnostics(sink);
+    if (!suite.ok()) {
+      std::fprintf(stderr, "error: %s\n", suite.status().message().c_str());
       print_diagnostics(victim_sink);
       return false;
     }
-    std::vector<splitmfg::SplitChallenge> all;
-    all.reserve(args.train.size() + 1);
-    all.push_back(std::move(v).value());
-    for (splitmfg::SplitChallenge& ch : batch.take_loaded()) {
-      all.push_back(std::move(ch));
-    }
-    suites->emplace(split, core::ChallengeSuite(std::move(all)));
+    suites->emplace(split, std::move(suite).value());
   }
   return true;
 }

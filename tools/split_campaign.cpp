@@ -60,6 +60,7 @@
 #include <unistd.h>
 
 #include "common/cancel.hpp"
+#include "common/checkpoint.hpp"
 #include "common/diagnostics.hpp"
 #include "common/json_writer.hpp"
 #include "common/obs.hpp"
@@ -75,6 +76,7 @@
 namespace {
 
 using namespace repro;
+using common::hex64;
 
 /// One planted fault: shard id -> REPRO_FAULT spec, first attempt only
 /// unless every_attempt.
@@ -296,13 +298,6 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// Default worker binary: split_attack next to this executable.
 std::string default_worker_bin(const char* argv0) {
   char buf[4096];
@@ -431,23 +426,13 @@ int run(int argc, char** argv) {
   common::CancelToken& cancel = common::global_cancel_token();
 
   // The LOO suite size fixes the fold count per layer: one held-out
-  // design per fold. Demo mode counts the generated suite (REPRO_SCALE
-  // shrinks it the same way split_attack does); file mode counts the
-  // victim plus every training DEF — a DEF the workers end up skipping
-  // would shrink their suite and shift fold indices, so workers run
-  // --strict and fail the shard loudly instead.
-  std::int64_t folds = 0;
-  if (args.demo) {
-    double scale = 1.0;
-    if (const char* s = std::getenv("REPRO_SCALE")) {
-      const double v = std::atof(s);
-      if (v > 0) scale = v;
-    }
-    folds =
-        static_cast<std::int64_t>(synth::generate_benchmark_suite(scale).size());
-  } else {
-    folds = 1 + static_cast<std::int64_t>(args.train.size());
-  }
+  // design per fold. Demo mode counts the presets the workers generate
+  // (one design each, at any REPRO_SCALE); file mode counts the victim
+  // plus every training DEF — a DEF the workers end up skipping would
+  // shrink their suite and shift fold indices, so workers run --strict
+  // and fail the shard loudly instead.
+  const std::int64_t folds = static_cast<std::int64_t>(
+      args.demo ? synth::preset_names().size() : 1 + args.train.size());
 
   const std::string worker_bin =
       args.worker_bin.empty() ? default_worker_bin(argv[0]) : args.worker_bin;
