@@ -142,7 +142,6 @@ std::vector<splitmfg::SplitChallenge> DefBatch::take_loaded() {
   out.reserve(static_cast<std::size_t>(num_loaded));
   for (DefLoadOutcome& d : designs) {
     if (d.loaded) out.push_back(std::move(d.challenge));
-    d.loaded = false;
   }
   return out;
 }

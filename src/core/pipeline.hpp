@@ -44,7 +44,8 @@ struct DefLoadOptions {
 struct DefLoadOutcome {
   std::string path;
   bool loaded = false;
-  splitmfg::SplitChallenge challenge;     ///< valid iff `loaded`
+  splitmfg::SplitChallenge challenge;     ///< valid iff `loaded`, until
+                                          ///< DefBatch::take_loaded
   splitmfg::ValidationReport validation;  ///< empty when !opt.validate
   common::Status status;                  ///< why the design was skipped
 };
@@ -55,7 +56,10 @@ struct DefBatch {
   int num_loaded = 0;
   int num_skipped = 0;
 
-  /// Moves the successfully loaded challenges out, in input order.
+  /// Moves the successfully loaded challenges out, in input order. Every
+  /// outcome keeps its `loaded` flag and status, so callers can still
+  /// report which designs loaded; a loaded outcome's `challenge` is
+  /// moved-from afterwards.
   std::vector<splitmfg::SplitChallenge> take_loaded();
 };
 

@@ -191,8 +191,10 @@ StatusOr<AttackResult> load_result(const std::string& raw) {
     r.f32(v.d_true);
     r.i32(v.num_evaluated);
     r.u64(hist_size);
-    if (!r.ok() ||
-        hist_size != static_cast<std::uint64_t>(hist_bins)) {
+    // Every bin is a u32 still to be read, so a count the payload cannot
+    // hold is refused before it sizes an allocation.
+    if (!r.ok() || hist_size != static_cast<std::uint64_t>(hist_bins) ||
+        hist_size > r.remaining() / 4) {
       return Status::DataLoss("result artifact: bad histogram size");
     }
     v.tested = tested != 0;

@@ -1,9 +1,9 @@
 #include "route/global_router.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <map>
-#include <queue>
 #include <stdexcept>
 
 #include "common/obs.hpp"
@@ -190,6 +190,38 @@ GlobalRouter::Path GlobalRouter::best_pattern(GCell a, GCell b, int pair,
                            });
 }
 
+void MazeQueue::reset(long base) {
+  for (std::size_t k = cur_; k < end_; ++k) buckets_[k].clear();
+  base_ = base;
+  cur_ = end_ = size_ = 0;
+}
+
+void MazeQueue::push(long f, std::uint32_t state) {
+  if (f < base_ + static_cast<long>(cur_)) {
+    throw std::logic_error(
+        "maze A*: key below the current bucket (inconsistent heuristic)");
+  }
+  const auto k = static_cast<std::size_t>(f - base_);
+  if (k >= buckets_.size()) buckets_.resize(k + 1);
+  std::vector<std::uint32_t>& b = buckets_[k];
+  b.push_back(state);
+  std::push_heap(b.begin(), b.end(), std::greater<>());
+  end_ = std::max(end_, k + 1);
+  ++size_;
+}
+
+bool MazeQueue::pop(long& f, std::uint32_t& state) {
+  if (size_ == 0) return false;
+  while (buckets_[cur_].empty()) ++cur_;
+  std::vector<std::uint32_t>& b = buckets_[cur_];
+  std::pop_heap(b.begin(), b.end(), std::greater<>());
+  state = b.back();
+  b.pop_back();
+  f = base_ + static_cast<long>(cur_);
+  --size_;
+  return true;
+}
+
 GlobalRouter::Path GlobalRouter::maze_route(GCell a, GCell b, int pair) {
   ++stats_.maze_invocations;
   const int x0 = std::max(0, std::min(a.x, b.x) - opt_.maze_margin);
@@ -201,37 +233,44 @@ GlobalRouter::Path GlobalRouter::maze_route(GCell a, GCell b, int pair) {
   // vertical. Direction changes pay a bend (via) cost, which keeps maze
   // detours from zig-zagging between the two layers of the pair.
   const auto idx = [&](int x, int y, int axis) {
-    return ((y - y0) * w + (x - x0)) * 2 + axis;
+    return static_cast<std::uint32_t>(((y - y0) * w + (x - x0)) * 2 + axis);
   };
   constexpr long kBendCost = 12;
 
-  const long kInf = std::numeric_limits<long>::max();
-  std::vector<long> dist(static_cast<std::size_t>(w) * h * 2, kInf);
-  std::vector<int> prev(static_cast<std::size_t>(w) * h * 2, -1);
+  const std::size_t num_states = static_cast<std::size_t>(w) * h * 2;
+  std::vector<long>& dist = maze_dist_;
+  std::vector<int>& prev = maze_prev_;
+  dist.assign(num_states, std::numeric_limits<long>::max());
+  prev.assign(num_states, -1);
 
-  using QEntry = std::pair<long, int>;  // (f = g + heuristic, state)
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+  // f = g + Manhattan distance to b. Every step costs at least 1 and
+  // moves one GCell, so the heuristic is consistent and no push lands
+  // below the popped f: the bucket queue pops the same (f, state)
+  // sequence a binary heap would (MazeQueue::push checks it).
   const auto heur = [&](int x, int y) {
     return static_cast<long>(std::abs(x - b.x) + std::abs(y - b.y));
   };
+  MazeQueue& pq = maze_queue_;
+  pq.reset(heur(a.x, a.y));
   for (int axis : {0, 1}) {
-    dist[static_cast<std::size_t>(idx(a.x, a.y, axis))] = 0;
-    pq.emplace(heur(a.x, a.y), idx(a.x, a.y, axis));
+    dist[idx(a.x, a.y, axis)] = 0;
+    pq.push(heur(a.x, a.y), idx(a.x, a.y, axis));
   }
 
   const int hl = h_layer(pair), vl = v_layer(pair);
   const int hcap = usage_.capacity(hl), vcap = usage_.capacity(vl);
 
   int goal_state = -1;
-  while (!pq.empty()) {
-    const auto [f, state] = pq.top();
-    pq.pop();
-    const int cell = state / 2, axis = state % 2;
+  long f = 0;
+  std::uint32_t state = 0;
+  while (pq.pop(f, state)) {
+    const int cell = static_cast<int>(state / 2);
+    const int axis = static_cast<int>(state % 2);
     const int x = x0 + cell % w, y = y0 + cell / w;
-    const long g = dist[static_cast<std::size_t>(state)];
+    const long g = dist[state];
     if (f - heur(x, y) > g) continue;  // stale entry
     if (x == b.x && y == b.y) {
-      goal_state = state;
+      goal_state = static_cast<int>(state);
       break;
     }
 
@@ -250,11 +289,11 @@ GlobalRouter::Path GlobalRouter::maze_route(GCell a, GCell b, int pair) {
       const long step =
           1 + (u >= m.cap ? opt_.overflow_penalty * (u - m.cap + 1) : 0) +
           (m.axis != axis ? kBendCost : 0);
-      const int nstate = idx(m.nx, m.ny, m.axis);
-      if (g + step < dist[static_cast<std::size_t>(nstate)]) {
-        dist[static_cast<std::size_t>(nstate)] = g + step;
-        prev[static_cast<std::size_t>(nstate)] = state;
-        pq.emplace(g + step + heur(m.nx, m.ny), nstate);
+      const std::uint32_t nstate = idx(m.nx, m.ny, m.axis);
+      if (g + step < dist[nstate]) {
+        dist[nstate] = g + step;
+        prev[nstate] = static_cast<int>(state);
+        pq.push(g + step + heur(m.nx, m.ny), nstate);
       }
     }
   }
@@ -267,9 +306,8 @@ GlobalRouter::Path GlobalRouter::maze_route(GCell a, GCell b, int pair) {
     p.corners = simplify_corners({a, GCell{b.x, a.y}, b});
   } else {
     std::vector<GCell> cells;
-    for (int state = goal_state; state != -1;
-         state = prev[static_cast<std::size_t>(state)]) {
-      const int cell = state / 2;
+    for (int s = goal_state; s != -1; s = prev[static_cast<std::size_t>(s)]) {
+      const int cell = s / 2;
       const GCell gc{x0 + cell % w, y0 + cell / w};
       if (cells.empty() || !(cells.back() == gc)) cells.push_back(gc);
       if (gc == a) break;

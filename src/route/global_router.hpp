@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <random>
+#include <vector>
 
 #include "common/cancel.hpp"
 #include "common/diagnostics.hpp"
@@ -82,6 +83,31 @@ struct RouteStats {
   bool watchdog_tripped = false;  ///< RRR abandoned as non-converging
 };
 
+/// The open list of GlobalRouter's A* maze search: a min-priority queue
+/// of states keyed by (f, state), for keys that never drop below the
+/// last popped f, which holds because the search's heuristic is
+/// consistent. Bucket k holds the states pushed at f = base + k as a
+/// min-heap on the state id, so pops come out in exactly the (f, state)
+/// order of one binary heap of pairs. The router owns one and reuses its
+/// buckets across calls.
+class MazeQueue {
+ public:
+  /// Empties the queue; the smallest key it will accept is `base`.
+  void reset(long base);
+  /// Throws std::logic_error when f is below the current bucket: a
+  /// heuristic that is not consistent would silently reorder pops.
+  void push(long f, std::uint32_t state);
+  /// Pops the smallest (f, state); false when the queue is empty.
+  bool pop(long& f, std::uint32_t& state);
+
+ private:
+  std::vector<std::vector<std::uint32_t>> buckets_;
+  long base_ = 0;
+  std::size_t cur_ = 0;  ///< buckets below cur_ are empty
+  std::size_t end_ = 0;  ///< buckets at or past end_ are empty
+  std::size_t size_ = 0;
+};
+
 class GlobalRouter {
  public:
   GlobalRouter(const netlist::Netlist& nl, const tech::Technology& tech,
@@ -130,6 +156,11 @@ class GlobalRouter {
   GridGeometry grid_;
   UsageMap usage_;
   RouteStats stats_;
+  // maze_route scratch, reused across calls: per-state cost-so-far and
+  // predecessor over the search window, and the open list.
+  std::vector<long> maze_dist_;
+  std::vector<int> maze_prev_;
+  MazeQueue maze_queue_;
 };
 
 }  // namespace repro::route

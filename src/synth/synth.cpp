@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <stdexcept>
+
+#include "common/parallel.hpp"
 
 namespace repro::synth {
 
@@ -397,12 +400,31 @@ std::vector<std::string> preset_names() {
 }
 
 std::vector<SynthDesign> generate_benchmark_suite(double scale) {
-  std::vector<SynthDesign> out;
+  std::vector<SynthParams> params;
   for (const std::string& name : preset_names()) {
-    SynthParams p = preset(name);
-    p.num_cells = std::max(500, static_cast<int>(p.num_cells * scale));
-    out.push_back(generate(p));
+    params.push_back(preset(name));
+    params.back().num_cells =
+        std::max(500, static_cast<int>(params.back().num_cells * scale));
   }
+  // Each preset has its own seed and router and shares no state with the
+  // others, so the suite is the same at any thread count. Largest first:
+  // the pool's static chunks then give sb12, sb10 and sb5 a worker each
+  // at four threads and pair the two smallest on the fourth.
+  std::vector<std::size_t> order(params.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (params[a].num_cells != params[b].num_cells) {
+      return params[a].num_cells > params[b].num_cells;
+    }
+    return a < b;
+  });
+  std::vector<SynthDesign> out(params.size());
+  common::parallel_for(static_cast<std::int64_t>(order.size()),
+                       [&](std::int64_t i) {
+                         const std::size_t k =
+                             order[static_cast<std::size_t>(i)];
+                         out[k] = generate(params[k]);
+                       });
   return out;
 }
 

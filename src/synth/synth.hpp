@@ -61,8 +61,10 @@ SynthDesign generate(const SynthParams& params);
 SynthParams preset(const std::string& name);
 std::vector<std::string> preset_names();
 
-/// Convenience: generate all five preset designs. `scale` multiplies the
-/// preset cell counts (1.0 = the calibrated default used by the benches).
+/// Convenience: generate all five preset designs, in parallel across the
+/// global pool (the result does not depend on the thread count). `scale`
+/// multiplies the preset cell counts (1.0 = the calibrated default used
+/// by the benches).
 std::vector<SynthDesign> generate_benchmark_suite(double scale = 1.0);
 
 }  // namespace repro::synth

@@ -323,6 +323,28 @@ TEST_F(BatchIsolation, MissingFileIsIsolatedToo) {
   EXPECT_EQ(batch.designs[0].status.code(), common::StatusCode::kIoError);
 }
 
+TEST_F(BatchIsolation, SuiteLoadLeavesEachLoadedFlagTruthful) {
+  core::DefLoadOptions opt;
+  opt.split_layer = kSplit;
+  common::DiagnosticSink sink, victim_sink;
+  const lefdef::LefContents contents = lef();
+  core::DefBatch training;
+  const auto suite = core::load_suite_from_defs(
+      good1_, {good1_, bad_, good2_}, contents, opt, training, sink,
+      victim_sink);
+  ASSERT_TRUE(suite.ok()) << suite.status().to_string();
+  EXPECT_EQ(suite->size(), 3u);  // the victim plus two training designs
+  // The training challenges were moved into the suite; the outcomes
+  // still say which designs loaded.
+  ASSERT_EQ(training.designs.size(), 3u);
+  for (std::size_t i = 0; i < training.designs.size(); ++i) {
+    EXPECT_EQ(training.designs[i].loaded, i != 1) << training.designs[i].path;
+    EXPECT_EQ(training.designs[i].status.ok(), i != 1);
+  }
+  EXPECT_EQ(training.num_loaded, 2);
+  EXPECT_EQ(training.num_skipped, 1);
+}
+
 // Everything a caller can observe of a batch load, rendered to text:
 // per-design flags, statuses and validation reports, every stored
 // diagnostic, and the sink's totals.

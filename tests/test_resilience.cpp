@@ -232,6 +232,33 @@ TEST(ResilienceResult, TimingsAreNotSealedAndVersionOneIsRefused) {
   EXPECT_EQ(old.status().code(), common::StatusCode::kDataLoss);
 }
 
+TEST(ResilienceResult, HistogramLargerThanThePayloadIsRefusedBeforeAllocating) {
+  // A CRC-clean artifact of a few dozen bytes that claims 50,000,000
+  // histogram bins for its one v-pin. Sizing the histogram from the claim
+  // would allocate 200 MB before the first missing bin is noticed.
+  constexpr std::int32_t kBins = 50'000'000;
+  common::BinaryWriter w;
+  w.str("d");
+  w.i32(8);
+  w.i32(kBins);
+  w.u64(1);     // num_vpins
+  w.u8(1);      // tested
+  w.u8(1);      // has_match
+  w.f32(0.5f);  // p_true
+  w.f32(1.0f);  // d_true
+  w.i32(3);     // num_evaluated
+  w.u64(kBins);
+  const std::string raw = common::seal_artifact(
+      core::kResultMagic, core::kResultVersion, w.take());
+  EXPECT_LT(raw.size(), 64u);
+  const auto res = core::load_result(raw);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), common::StatusCode::kDataLoss);
+  EXPECT_NE(res.status().message().find("bad histogram size"),
+            std::string::npos)
+      << res.status().to_string();
+}
+
 TEST_F(ResilienceAttack, RunKeySeparatesConfigsAndInputs) {
   const std::uint64_t base = core::attack_run_key(challenges_, cfg_);
   EXPECT_EQ(base, core::attack_run_key(challenges_, cfg_)) << "must be stable";

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <queue>
 #include <random>
+#include <stdexcept>
 #include <set>
 #include <string>
 
@@ -226,6 +229,60 @@ TEST(GlobalRouter, DeterministicGivenSeed) {
   };
   EXPECT_EQ(run_once(42), run_once(42));
   EXPECT_NE(run_once(42), run_once(43));  // different seeds should differ
+}
+
+// The maze router's layouts depend on the order in which equal-f states
+// pop, so the bucket queue must pop exactly what a binary heap of
+// (f, state) pairs would, over pushes that never fall below the popped f.
+TEST(MazeQueue, PopsInTheExactOrderOfABinaryHeapOfPairs) {
+  std::mt19937_64 rng(7);
+  MazeQueue q;
+  for (int round = 0; round < 50; ++round) {
+    using Key = std::pair<long, std::uint32_t>;
+    std::priority_queue<Key, std::vector<Key>, std::greater<>> ref;
+    const long base = static_cast<long>(rng() % 100);
+    q.reset(base);  // also drops whatever the last round left queued
+    for (int i = 0; i < 8; ++i) {
+      const auto s = static_cast<std::uint32_t>(rng() % 64);
+      q.push(base, s);
+      ref.emplace(base, s);
+    }
+    for (int step = 0; step < 400 && !ref.empty(); ++step) {
+      long f = -1;
+      std::uint32_t s = 0;
+      ASSERT_TRUE(q.pop(f, s));
+      ASSERT_EQ(Key(f, s), ref.top()) << "round " << round;
+      ref.pop();
+      // Like an A* relaxation: 0-3 successors at f + 0..20, ties common.
+      for (int k = static_cast<int>(rng() % 4); k > 0; --k) {
+        const long nf = f + static_cast<long>(rng() % 21);
+        const auto ns = static_cast<std::uint32_t>(rng() % 64);
+        q.push(nf, ns);
+        ref.emplace(nf, ns);
+      }
+    }
+    if (ref.empty()) {
+      long f = 0;
+      std::uint32_t s = 0;
+      EXPECT_FALSE(q.pop(f, s));
+    }
+  }
+}
+
+TEST(MazeQueue, PushBelowThePoppedKeyThrows) {
+  MazeQueue q;
+  q.reset(10);
+  q.push(10, 3);
+  q.push(12, 1);
+  long f = 0;
+  std::uint32_t s = 0;
+  ASSERT_TRUE(q.pop(f, s));
+  ASSERT_TRUE(q.pop(f, s));
+  EXPECT_EQ(f, 12);
+  EXPECT_NO_THROW(q.push(12, 0));  // equal to the popped key is fine
+  EXPECT_THROW(q.push(11, 0), std::logic_error);
+  q.reset(10);
+  EXPECT_THROW(q.push(9, 0), std::logic_error);
 }
 
 TEST(GridGeometry, MapsPointsToCells) {

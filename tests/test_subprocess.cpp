@@ -120,7 +120,9 @@ TEST(Subprocess, PollIsNonBlockingAndEventuallyReaps) {
 }
 
 TEST(Subprocess, WaitForTimesOutWithoutKillingThenKillEscalates) {
-  auto child = Subprocess::spawn(sh("sleep 30"));
+  // `exec` makes the sleeper the child itself: a `sleep` forked by the
+  // shell would outlive the SIGKILL and hold the inherited stdout open.
+  auto child = Subprocess::spawn(sh("exec sleep 30"));
   ASSERT_TRUE(child.ok());
   EXPECT_FALSE(child->wait_for(0.1));
   EXPECT_TRUE(child->running()) << "wait_for must not kill on timeout";

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "common/parallel.hpp"
+#include "lefdef/lefdef.hpp"
 #include "synth/synth.hpp"
 
 namespace repro::synth {
@@ -112,6 +118,44 @@ TEST(Synth, DeterministicGivenSeed) {
     EXPECT_EQ(a.netlist->cell(c).origin, b.netlist->cell(c).origin);
   }
   EXPECT_EQ(a.route_stats.total_wire_gcells, b.route_stats.total_wire_gcells);
+}
+
+// Pins the generated layouts: the DEF text of every preset at scale 0.12,
+// its maze-fallback count and its overflowed-edge count, at 1 and 4
+// threads. Any change to placement, routing order, the maze search or its
+// tie-breaking, or the suite's parallel schedule shows up here first.
+TEST(Synth, SuiteLayoutsArePinnedAtAnyThreadCount) {
+  struct Pin {
+    const char* name;
+    std::uint64_t def_fnv;
+    int maze_invocations;
+    long overflowed_edges;
+  };
+  const Pin pins[] = {
+      {"sb1", 0xeeaae5fe2b1dbd13ULL, 654, 872},
+      {"sb5", 0x10f1576f5a0e4389ULL, 1033, 1603},
+      {"sb10", 0xed51a7c41ec5b985ULL, 412, 413},
+      {"sb12", 0x8ef38111a87e4dc4ULL, 628, 982},
+      {"sb18", 0x7dcfbcef9bfe0a4cULL, 384, 321},
+  };
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    common::set_global_threads(threads);
+    const std::vector<SynthDesign> suite = generate_benchmark_suite(0.12);
+    ASSERT_EQ(suite.size(), std::size(pins));
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      const SynthDesign& d = suite[i];
+      EXPECT_EQ(d.params.name, pins[i].name);
+      std::ostringstream def;
+      lefdef::write_def(def, *d.netlist, d.routes);
+      EXPECT_EQ(common::fnv1a64(def.str()), pins[i].def_fnv) << pins[i].name;
+      EXPECT_EQ(d.route_stats.maze_invocations, pins[i].maze_invocations)
+          << pins[i].name;
+      EXPECT_EQ(d.route_stats.overflowed_edges, pins[i].overflowed_edges)
+          << pins[i].name;
+    }
+  }
+  common::set_global_threads(0);
 }
 
 TEST(Synth, RejectsTinyDesigns) {
